@@ -13,53 +13,37 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .epidemic import TransmissionParams, estimate, estimate_degree_biased, outbreak_histogram
 from .generators import GeneratorError, GenSpec
-from .graph import (
-    ExpansionCapError,
-    GraphError,
-    expansion_exact,
-    expansion_heuristic,
-    load_edge_list,
-    save_edge_list,
-)
+from .graph import ExpansionCapError, GraphError, load_edge_list, save_edge_list
 from .harness import (
     ConfigError,
     ExperimentConfig,
     _provenance,
     config_hash,
     run_experiment,
+    run_task,
+    validate_task,
     write_csv,
     write_json,
 )
 from .oracle import OracleCapError, exact_outbreak_distribution, exact_zeta_k
-from .percolation import (
-    FixedPointError,
-    degree_law_from_dict,
-    percolate,
-    pivotal_bridge_report,
-    survival_curve_analytic,
-    survival_curve_empirical,
-)
+from .percolation import FixedPointError, percolate
 from .parallel import resolve_threads
 from .seeds import substream_seed
 
-VALIDATION_ERRORS = (
-    ConfigError, GeneratorError, GraphError, OracleCapError, ExpansionCapError,
-    ValueError, KeyError, json.JSONDecodeError, FileNotFoundError,
-)
-
-ERROR_CODES = {
-    "ConfigError": "invalid_config",
-    "GeneratorError": "infeasible_generator",
-    "GraphError": "invalid_graph",
-    "OracleCapError": "oracle_cap_exceeded",
-    "ExpansionCapError": "expansion_cap_exceeded",
-    "FixedPointError": "nonconvergence",
-    "ValueError": "invalid_value",
-    "KeyError": "missing_parameter",
-    "JSONDecodeError": "invalid_json",
-    "FileNotFoundError": "missing_file",
+# Error code and exit status per exception class; an exception takes the
+# entry of its nearest listed base class.
+ERRORS = {
+    ConfigError: ("invalid_config", 1),
+    GeneratorError: ("infeasible_generator", 1),
+    GraphError: ("invalid_graph", 1),
+    OracleCapError: ("oracle_cap_exceeded", 1),
+    ExpansionCapError: ("expansion_cap_exceeded", 1),
+    json.JSONDecodeError: ("invalid_json", 1),
+    ValueError: ("invalid_value", 1),
+    KeyError: ("missing_parameter", 1),
+    FileNotFoundError: ("missing_file", 1),
+    FixedPointError: ("nonconvergence", 2),
 }
 
 
@@ -99,49 +83,46 @@ def parse_degree_law(text: str) -> dict:
     return law
 
 
-def _gen_spec_from_args(args, seed: int) -> GenSpec:
-    model = args.model.replace("-", "_")
+def parse_grid(text: str) -> list:
+    """Comma-separated p values, e.g. '0,0.5,1'."""
+    return [float(x) for x in text.split(",")]
+
+
+def _gen_spec_from_args(args, seed: int, model: str | None = None) -> GenSpec:
+    """The spec of --model, or of `model` (a motif overlay's external model)."""
+    model = (model or args.model).replace("-", "_")
     if model == "cm":
         params = {"degrees": parse_degrees(args.degrees).tolist()}
-    elif model == "k_regular":
+    elif model in ("k_regular", "two_block"):
         params = {"d": args.d, "n": args.n}
     elif model == "pa":
         params = {"m": args.m, "n": args.n}
-    elif model == "two_block":
-        params = {"d": args.d, "n": args.n}
     elif model == "motif_overlay":
         data = json.loads(Path(args.motifs).read_text())
-        external = _gen_spec_from_args_external(args, seed)
+        if not args.external_model:
+            raise ValueError("motif overlays need --external-model")
+        external = _gen_spec_from_args(args, substream_seed(seed, "external"),
+                                       args.external_model)
         params = {"external": external.to_json_dict(), "motifs": data}
     else:
         raise ValueError(f"unknown model {args.model!r}")
     return GenSpec(model=model, params=params, seed=seed)
 
 
-def _gen_spec_from_args_external(args, seed: int) -> GenSpec:
-    ext = args.external_model.replace("-", "_")
-    if ext == "cm":
-        return GenSpec("cm", {"degrees": parse_degrees(args.degrees).tolist()},
-                       substream_seed(seed, "external"))
-    if ext == "k_regular":
-        return GenSpec("k_regular", {"d": args.d, "n": args.n},
-                       substream_seed(seed, "external"))
-    if ext == "pa":
-        return GenSpec("pa", {"m": args.m, "n": args.n}, substream_seed(seed, "external"))
-    raise ValueError(f"unsupported external model {args.external_model!r}")
-
-
 def _load_or_generate(args, seed: int):
-    if getattr(args, "graph", None):
+    if args.graph:
         g = load_edge_list(args.graph)
         return g, {"graph_file": str(args.graph)}
-    if getattr(args, "model", None):
+    if args.model:
         spec = _gen_spec_from_args(args, substream_seed(seed, "generate"))
         return spec.build(), {"gen_spec_hash": spec.content_hash()}
     raise ValueError("give --graph FILE or --model with its parameters")
 
 
-def _add_graph_source(sub):
+def _shared_parser() -> argparse.ArgumentParser:
+    """The graph source and the common flags of every subcommand but
+    `experiment`; none of them is a task field."""
+    sub = argparse.ArgumentParser(add_help=False)
     sub.add_argument("--graph", help="edge-list file (one 'u v' per line)")
     sub.add_argument("--model", choices=["cm", "k-regular", "pa", "two-block", "motif-overlay"])
     sub.add_argument("--degrees", help="degree sequence, e.g. 3x100000 or 3,3,4")
@@ -151,85 +132,72 @@ def _add_graph_source(sub):
     sub.add_argument("--motifs", help="motif distribution JSON file")
     sub.add_argument("--external-model", choices=["cm", "k-regular", "pa"],
                      help="external model for motif overlays")
-
-
-def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: OUTBREAK_LOCAL_THREADS or 1)")
     sub.add_argument("--out", default=".", help="output directory")
-
-
-def _p_from_args(args) -> float:
-    if getattr(args, "rate", None) is not None:
-        return TransmissionParams.from_rate(args.rate).p
-    if args.p is None:
-        raise ValueError("give --p or --lambda")
-    return float(args.p)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="outbreak-local", description=__doc__)
     parser.add_argument("--version", action="version", version=f"outbreak-local/{__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_parser()
 
-    s = subs.add_parser("generate", parents=[], help="generate a graph and write its edge list")
-    _add_graph_source(s)
-    _add_common(s)
+    def command(name, text, task_type=None):
+        s = subs.add_parser(name, parents=[shared], help=text)
+        if task_type:  # every option past the shared ones is a field of the task
+            s.set_defaults(type=task_type)
+        return s
 
-    s = subs.add_parser("percolate", help="one Bernoulli(p) edge mask")
-    _add_graph_source(s)
-    _add_common(s)
+    command("generate", "generate a graph and write its edge list")
+
+    s = command("percolate", "one Bernoulli(p) edge mask")
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--trial", type=int, default=0)
 
-    s = subs.add_parser("outbreak", help="single-seed outbreak size histogram")
-    _add_graph_source(s)
-    _add_common(s)
+    s = command("outbreak", "single-seed outbreak size histogram", "histogram")
     s.add_argument("--p", type=float)
-    s.add_argument("--lambda", dest="rate", type=float, help="transmission rate; p = l/(l+1)")
+    s.add_argument("--lambda", type=float, help="transmission rate; p = l/(l+1)")
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--delta", type=float, default=0.05)
     s.add_argument("--zeta-ref", type=float, default=None)
 
-    s = subs.add_parser("estimate", help="local ball-query estimator")
-    _add_graph_source(s)
-    _add_common(s)
+    s = command("giant", "giant-component fraction over percolation trials", "giant")
     s.add_argument("--p", type=float)
-    s.add_argument("--lambda", dest="rate", type=float)
+    s.add_argument("--lambda", type=float)
+    s.add_argument("--trials", type=int, required=True)
+
+    s = command("estimate", "local ball-query estimator", "estimate")
+    s.add_argument("--p", type=float)
+    s.add_argument("--lambda", type=float)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--degree-biased", action="store_true")
-    s.add_argument("--count-others-only", action="store_true",
+    s.add_argument("--count-others-only", dest="count_seed", action="store_false",
                    help="require k infected besides the seed")
 
-    s = subs.add_parser("survival", help="zeta over a p grid")
-    _add_graph_source(s)
-    _add_common(s)
-    s.add_argument("--grid", required=True, help="comma-separated p values")
+    s = command("survival", "zeta over a p grid", "survival")
+    s.add_argument("--grid", type=parse_grid, required=True, help="comma-separated p values")
     s.add_argument("--method", choices=["analytic", "empirical"], default="analytic")
-    s.add_argument("--degree-law", help="analytic degree law, e.g. 3:1.0")
+    s.add_argument("--degree-law", type=parse_degree_law,
+                   help="analytic degree law, e.g. 3:1.0")
     s.add_argument("--trials", type=int, default=20)
 
-    s = subs.add_parser("expansion", help="large-set expansion report")
-    _add_graph_source(s)
-    _add_common(s)
+    s = command("expansion", "large-set expansion report", "expansion")
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--mode", choices=["edge", "vertex"], default="edge")
     s.add_argument("--exact", action="store_true")
     s.add_argument("--budget", type=int, default=2000)
 
-    s = subs.add_parser("bridges", help="pivotal-edge / k-bridge diagnostics")
-    _add_graph_source(s)
-    _add_common(s)
+    s = command("bridges", "pivotal-edge / k-bridge diagnostics", "bridges")
     s.add_argument("--vertex", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--trials", type=int, required=True)
 
-    s = subs.add_parser("oracle", help="exact tiny-graph laws by mask enumeration")
-    _add_graph_source(s)
-    _add_common(s)
+    s = command("oracle", "exact tiny-graph laws by mask enumeration")
     s.add_argument("--vertex", type=int, help="single source vertex")
     s.add_argument("--seeds", help="comma-separated seed vertices")
     s.add_argument("--p", required=True, help="float or exact fraction a/b")
@@ -242,6 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=None)
     s.add_argument("--out", default=".", help="output directory")
     return parser
+
+
+def vars_for_hash(args) -> dict:
+    skip = {"threads", "out", "command"}
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in skip and v is not None}
 
 
 def _cmd_generate(args, out: Path, threads: int) -> None:
@@ -270,85 +244,20 @@ def _cmd_percolate(args, out: Path, threads: int) -> None:
     print(path)
 
 
-def vars_for_hash(args) -> dict:
-    skip = {"threads", "out", "command"}
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
-
-
-def _cmd_outbreak(args, out: Path, threads: int) -> None:
-    g, src = _load_or_generate(args, args.seed)
-    p = _p_from_args(args)
-    hist = outbreak_histogram(g, args.trials, TransmissionParams(p=p), args.seed,
-                              delta=args.delta, zeta_ref=args.zeta_ref, threads=threads)
-    prov = _provenance(config_hash(vars_for_hash(args)), args.seed, src)
-    csv_path = out / "outbreak.csv"
-    write_csv(csv_path, ["trial", "seed", "final_size", "relative_size"],
-              [(t, int(s), int(fs), repr(float(r))) for t, (s, fs, r) in
-               enumerate(zip(hist.seeds, hist.final_sizes, hist.relative_sizes))], prov)
-    write_json(out / "outbreak.json",
-               {"provenance": prov, "p": p, "summary": hist.summary_dict()})
-    print(csv_path)
-
-
-def _cmd_estimate(args, out: Path, threads: int) -> None:
-    g, src = _load_or_generate(args, args.seed)
-    p = _p_from_args(args)
-    fn = estimate_degree_biased if args.degree_biased else estimate
-    rep = fn(g, args.k, args.q, TransmissionParams(p=p), args.seed, threads,
-             count_seed=not args.count_others_only)
-    prov = _provenance(config_hash(vars_for_hash(args)), args.seed, src)
-    path = out / "estimate.json"
-    write_json(path, {"provenance": prov, "p": p, "report": rep.to_dict()})
-    print(path)
-
-
-def _cmd_survival(args, out: Path, threads: int) -> None:
-    grid = [float(x) for x in args.grid.split(",")]
-    if args.method == "analytic":
-        if not args.degree_law:
-            raise ValueError("analytic survival needs --degree-law")
-        curve = survival_curve_analytic(
-            degree_law_from_dict(parse_degree_law(args.degree_law)), grid)
-        src = {"degree_law": args.degree_law}
+def _cmd_task(args, out: Path, threads: int) -> None:
+    """One task through the experiment runner's table, seeded with --seed,
+    written under the subcommand's fixed file stem."""
+    shared = set(vars(_shared_parser().parse_args([]))) | {"command"}
+    task = {k: v for k, v in vars(args).items() if k not in shared and v is not None}
+    validate_task(task, 0)
+    if task["type"] == "survival" and task["method"] == "analytic":
+        law = ",".join(f"{k}:{w}" for k, w in task["degree_law"].items())
+        g, src = None, {"degree_law": law}
     else:
         g, src = _load_or_generate(args, args.seed)
-        curve = survival_curve_empirical(g, grid, args.trials, args.seed, threads)
+    stem = f"survival_{task['method']}" if task["type"] == "survival" else args.command
     prov = _provenance(config_hash(vars_for_hash(args)), args.seed, src)
-    path = out / f"survival_{args.method}.csv"
-    write_csv(path, ["p", "zeta", "err", "method"],
-              [(repr(p), repr(z), repr(e), curve.method) for p, z, e in curve.rows()], prov)
-    print(path)
-
-
-def _cmd_expansion(args, out: Path, threads: int) -> None:
-    g, src = _load_or_generate(args, args.seed)
-    if args.exact:
-        rep = expansion_exact(g, args.eps, args.mode)
-    else:
-        rep = expansion_heuristic(g, args.eps, args.mode, budget=args.budget, seed=args.seed)
-    prov = _provenance(config_hash(vars_for_hash(args)), args.seed, src)
-    path = out / "expansion.json"
-    write_json(path, {"provenance": prov, "report": {
-        "epsilon": rep.epsilon, "mode": rep.mode, "value": rep.value,
-        "value_fraction": rep.value_fraction, "exact": rep.exact,
-        "witness_set": rep.witness_set,
-    }})
-    print(path)
-
-
-def _cmd_bridges(args, out: Path, threads: int) -> None:
-    g, src = _load_or_generate(args, args.seed)
-    rep = pivotal_bridge_report(g, args.vertex, args.k, args.p, args.trials, args.seed)
-    prov = _provenance(config_hash(vars_for_hash(args)), args.seed, src)
-    path = out / "bridges.json"
-    write_json(path, {"provenance": prov, "report": {
-        "k": rep.k, "p": rep.p, "pivotal_rate": rep.pivotal_rate,
-        "bridge_count_mean": rep.bridge_count_mean, "trials": rep.trials,
-        "zeta_k_hat": rep.zeta_k_hat, "fd_slope": rep.fd_slope,
-        "fd_step": rep.fd_step, "fd_halfwidth": rep.fd_halfwidth,
-    }})
-    print(path)
+    print(run_task(g, task, stem, args.seed, out, prov, threads)[0])
 
 
 def _cmd_oracle(args, out: Path, threads: int) -> None:
@@ -380,9 +289,7 @@ def _cmd_oracle(args, out: Path, threads: int) -> None:
 def _cmd_experiment(args) -> None:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        data = dict(config.raw)
-        data["master_seed"] = args.seed
-        config = ExperimentConfig.from_dict(data)
+        config = ExperimentConfig.from_dict(dict(config.raw, master_seed=args.seed))
     threads = resolve_threads(args.threads)
     manifest = run_experiment(config, args.out, threads)
     failed = [t for t in manifest["tasks"] if t["status"] != "ok"]
@@ -394,11 +301,6 @@ def _cmd_experiment(args) -> None:
 _COMMANDS = {
     "generate": _cmd_generate,
     "percolate": _cmd_percolate,
-    "outbreak": _cmd_outbreak,
-    "estimate": _cmd_estimate,
-    "survival": _cmd_survival,
-    "expansion": _cmd_expansion,
-    "bridges": _cmd_bridges,
     "oracle": _cmd_oracle,
 }
 
@@ -413,16 +315,13 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             threads = resolve_threads(args.threads)
-            _COMMANDS[args.command](args, out, threads)
+            _COMMANDS.get(args.command, _cmd_task)(args, out, threads)
         return 0
-    except VALIDATION_ERRORS as exc:
-        code = ERROR_CODES.get(type(exc).__name__, "invalid_value")
-        print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
-        return 1
     except Exception as exc:
-        code = ERROR_CODES.get(type(exc).__name__, "runtime_error")
+        code, status = next((ERRORS[cls] for cls in type(exc).__mro__ if cls in ERRORS),
+                            ("runtime_error", 2))
         print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return status
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ edge id, which fixes mask bit positions everywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,6 +434,9 @@ class ExpansionReport:
     value_fraction: Fraction
     witness_set: np.ndarray
     exact: bool
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def size_window(n: int, eps: float) -> tuple[int, int]:

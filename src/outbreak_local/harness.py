@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -36,8 +37,6 @@ from .percolation import (
 )
 from .seeds import substream_seed
 
-TASK_TYPES = ("histogram", "estimate", "giant", "survival", "expansion", "bridges")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -60,9 +59,46 @@ def _task_p(task: dict) -> float:
     if "lambda" in task:
         lam = float(task["lambda"])
         _require("p" not in task, "give p or lambda, not both")
+        _require(lam >= 0, f"lambda={lam} must be >= 0")
         return lam / (lam + 1.0)
     _require("p" in task, f"task {task.get('type')} needs p (or lambda)")
     return float(task["p"])
+
+
+def validate_task(task: dict, i: int) -> None:
+    """Raise ConfigError unless `task` is a well-formed task; `i` is its
+    index, used in the messages."""
+    ttype = task.get("type")
+    _require(ttype in TASKS, f"task {i}: unknown type {ttype!r}")
+    if ttype in ("histogram", "giant", "bridges", "estimate"):
+        p = _task_p(task)
+        _require(0.0 <= p <= 1.0, f"task {i}: p={p} outside [0, 1]")
+    if ttype in ("histogram", "giant", "bridges"):
+        _require(int(task.get("trials", 0)) >= 1, f"task {i}: trials must be >= 1")
+    if ttype == "estimate":
+        _require(int(task.get("k", 0)) >= 1, f"task {i}: k must be >= 1")
+        _require(int(task.get("q", 0)) >= 1, f"task {i}: q must be >= 1")
+    if ttype == "survival":
+        grid = task.get("grid")
+        _require(isinstance(grid, list) and grid, f"task {i}: needs a p grid")
+        arr = np.asarray(grid, dtype=float)
+        _require(((arr >= 0) & (arr <= 1)).all() and (np.diff(arr) >= 0).all(),
+                 f"task {i}: grid must be sorted within [0, 1]")
+        method = task.get("method", "analytic")
+        _require(method in ("analytic", "empirical"),
+                 f"task {i}: method must be analytic or empirical")
+        if method == "analytic":
+            _require("degree_law" in task, f"task {i}: analytic survival needs degree_law")
+        else:
+            _require(int(task.get("trials", 0)) >= 1, f"task {i}: trials must be >= 1")
+    if ttype == "expansion":
+        eps = float(task.get("eps", 0))
+        _require(0 < eps < 0.5, f"task {i}: eps must lie in (0, 1/2)")
+        _require(task.get("mode", "edge") in ("edge", "vertex"),
+                 f"task {i}: mode must be edge or vertex")
+    if ttype == "bridges":
+        _require(int(task.get("k", 0)) >= 1, f"task {i}: k must be >= 1")
+        _require(int(task.get("vertex", -1)) >= 0, f"task {i}: vertex must be >= 0")
 
 
 @dataclass
@@ -84,38 +120,7 @@ class ExperimentConfig:
         master_seed = int(data.get("master_seed", 0))
         tasks = [dict(t) for t in data["tasks"]]
         for i, task in enumerate(tasks):
-            ttype = task.get("type")
-            _require(ttype in TASK_TYPES, f"task {i}: unknown type {ttype!r}")
-            if ttype in ("histogram", "giant", "bridges"):
-                p = _task_p(task)
-                _require(0.0 <= p <= 1.0, f"task {i}: p={p} outside [0, 1]")
-                _require(int(task.get("trials", 0)) >= 1, f"task {i}: trials must be >= 1")
-            if ttype == "estimate":
-                p = _task_p(task)
-                _require(0.0 <= p <= 1.0, f"task {i}: p={p} outside [0, 1]")
-                _require(int(task.get("k", 0)) >= 1, f"task {i}: k must be >= 1")
-                _require(int(task.get("q", 0)) >= 1, f"task {i}: q must be >= 1")
-            if ttype == "survival":
-                grid = task.get("grid")
-                _require(isinstance(grid, list) and grid, f"task {i}: needs a p grid")
-                arr = np.asarray(grid, dtype=float)
-                _require(((arr >= 0) & (arr <= 1)).all() and (np.diff(arr) >= 0).all(),
-                         f"task {i}: grid must be sorted within [0, 1]")
-                method = task.get("method", "analytic")
-                _require(method in ("analytic", "empirical"),
-                         f"task {i}: method must be analytic or empirical")
-                if method == "analytic":
-                    _require("degree_law" in task, f"task {i}: analytic survival needs degree_law")
-                else:
-                    _require(int(task.get("trials", 0)) >= 1, f"task {i}: trials must be >= 1")
-            if ttype == "expansion":
-                eps = float(task.get("eps", 0))
-                _require(0 < eps < 0.5, f"task {i}: eps must lie in (0, 1/2)")
-                _require(task.get("mode", "edge") in ("edge", "vertex"),
-                         f"task {i}: mode must be edge or vertex")
-            if ttype == "bridges":
-                _require(int(task.get("k", 0)) >= 1, f"task {i}: k must be >= 1")
-                _require(int(task.get("vertex", -1)) >= 0, f"task {i}: vertex must be >= 0")
+            validate_task(task, i)
         return cls(gen=gen, tasks=tasks, master_seed=master_seed, raw=data)
 
     @classmethod
@@ -156,8 +161,19 @@ def _jsonable(x):
     return x
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory and rename it over
+    `path`, so a failed write never leaves a truncated artifact."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path: Path, header: list, rows, provenance: dict) -> None:
@@ -165,7 +181,7 @@ def write_csv(path: Path, header: list, rows, provenance: dict) -> None:
     lines = [f"# {prov}", ",".join(header)]
     for row in rows:
         lines.append(",".join(str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def file_sha256(path: Path) -> str:
@@ -176,144 +192,134 @@ def file_sha256(path: Path) -> str:
 # task execution
 
 
-def _run_task(g: Graph, task: dict, index: int, task_seed: int, out_dir: Path,
-              prov: dict, threads: int) -> list:
-    """Execute one task; returns the list of files written."""
-    ttype = task["type"]
-    stem = f"{ttype}_{index:02d}"
+# Each runner takes (graph, task, seed, threads) and returns (table, body):
+# the CSV's (header, rows) and the JSON's fields besides provenance and task,
+# either one None when the task writes no such file. Runners call library
+# functions through their module-global names.
+
+
+def _giant(g: Graph, task: dict, seed: int, threads: int):
+    p = _task_p(task)
+    res = giant_fraction(g, p, int(task["trials"]), seed, threads)
+    return ((["trial", "giant_fraction"],
+             [(t, repr(float(f))) for t, f in enumerate(res.fractions)]),
+            {"p": p, "mean": res.mean, "std": res.std, "halfwidth": res.halfwidth})
+
+
+def _estimate(g: Graph, task: dict, seed: int, threads: int):
+    fn = estimate_degree_biased if task.get("degree_biased") else estimate
+    rep = fn(g, int(task["k"]), int(task["q"]), TransmissionParams(p=_task_p(task)), seed,
+             threads, count_seed=bool(task.get("count_seed", True)))
+    return None, {"report": rep.to_dict()}
+
+
+def _histogram(g: Graph, task: dict, seed: int, threads: int):
+    p = _task_p(task)
+    zeta_ref = task.get("zeta_ref")
+    if zeta_ref is None and "zeta_degree_law" in task:
+        zeta_ref = survival_fixed_point_cm(degree_law_from_dict(task["zeta_degree_law"]), p)
+    hist = outbreak_histogram(g, int(task["trials"]), TransmissionParams(p=p), seed,
+                              delta=float(task.get("delta", 0.05)),
+                              zeta_ref=zeta_ref, threads=threads)
+    return ((["trial", "seed", "final_size", "relative_size"],
+             [(t, int(s), int(fs), repr(float(r))) for t, (s, fs, r) in
+              enumerate(zip(hist.seeds, hist.final_sizes, hist.relative_sizes))]),
+            {"summary": hist.summary_dict()})
+
+
+def _survival(g: Graph, task: dict, seed: int, threads: int):
+    if task.get("method", "analytic") == "analytic":
+        curve = survival_curve_analytic(degree_law_from_dict(task["degree_law"]), task["grid"])
+    else:
+        curve = survival_curve_empirical(g, task["grid"], int(task["trials"]), seed, threads)
+    return ((["p", "zeta", "err", "method"],
+             [(repr(p), repr(z), repr(e), curve.method) for p, z, e in curve.rows()]),
+            None)
+
+
+def _expansion(g: Graph, task: dict, seed: int, threads: int):
+    eps = float(task["eps"])
+    mode = task.get("mode", "edge")
+    if task.get("exact"):
+        rep = expansion_exact(g, eps, mode, cap=int(task.get("cap", 20)))
+    else:
+        rep = expansion_heuristic(g, eps, mode, budget=int(task.get("budget", 2000)), seed=seed)
+    return None, {"report": rep.to_dict()}
+
+
+def _bridges(g: Graph, task: dict, seed: int, threads: int):
+    rep = pivotal_bridge_report(g, int(task["vertex"]), int(task["k"]), _task_p(task),
+                                int(task["trials"]), seed)
+    return None, {"report": rep.to_dict()}
+
+
+TASKS = {
+    "giant": _giant,
+    "estimate": _estimate,
+    "histogram": _histogram,
+    "survival": _survival,
+    "expansion": _expansion,
+    "bridges": _bridges,
+}
+
+
+def run_task(g: Graph | None, task: dict, stem: str, seed: int, out_dir: Path,
+             prov: dict, threads: int) -> list:
+    """Run one validated task and write `<stem>.csv` and/or `<stem>.json`
+    under `out_dir`, CSV first; returns the paths written."""
+    table, body = TASKS[task["type"]](g, task, seed, threads)
     files = []
-
-    if ttype == "giant":
-        p = _task_p(task)
-        res = giant_fraction(g, p, int(task["trials"]), task_seed, threads)
-        csv_path = out_dir / f"{stem}.csv"
-        write_csv(csv_path, ["trial", "giant_fraction"],
-                  [(t, repr(float(f))) for t, f in enumerate(res.fractions)], prov)
-        json_path = out_dir / f"{stem}.json"
-        write_json(json_path, {
-            "provenance": prov, "task": task, "p": p,
-            "mean": res.mean, "std": res.std, "halfwidth": res.halfwidth,
-        })
-        files = [csv_path, json_path]
-
-    elif ttype == "estimate":
-        p = _task_p(task)
-        params = TransmissionParams(p=p)
-        fn = estimate_degree_biased if task.get("degree_biased") else estimate
-        rep = fn(g, int(task["k"]), int(task["q"]), params, task_seed, threads,
-                 count_seed=bool(task.get("count_seed", True)))
-        json_path = out_dir / f"{stem}.json"
-        write_json(json_path, {"provenance": prov, "task": task, "report": rep.to_dict()})
-        files = [json_path]
-
-    elif ttype == "histogram":
-        p = _task_p(task)
-        params = TransmissionParams(p=p)
-        zeta_ref = task.get("zeta_ref")
-        if zeta_ref is None and "zeta_degree_law" in task:
-            law = degree_law_from_dict({int(k): float(v)
-                                        for k, v in task["zeta_degree_law"].items()})
-            zeta_ref = survival_fixed_point_cm(law, p)
-        hist = outbreak_histogram(g, int(task["trials"]), params, task_seed,
-                                  delta=float(task.get("delta", 0.05)),
-                                  zeta_ref=zeta_ref, threads=threads)
-        csv_path = out_dir / f"{stem}.csv"
-        write_csv(csv_path, ["trial", "seed", "final_size", "relative_size"],
-                  [(t, int(s), int(fs), repr(float(r))) for t, (s, fs, r) in
-                   enumerate(zip(hist.seeds, hist.final_sizes, hist.relative_sizes))],
-                  prov)
-        json_path = out_dir / f"{stem}.json"
-        write_json(json_path, {"provenance": prov, "task": task,
-                               "summary": hist.summary_dict()})
-        files = [csv_path, json_path]
-
-    elif ttype == "survival":
-        method = task.get("method", "analytic")
-        if method == "analytic":
-            law = degree_law_from_dict({int(k): float(v)
-                                        for k, v in task["degree_law"].items()})
-            curve = survival_curve_analytic(law, task["grid"])
-        else:
-            curve = survival_curve_empirical(g, task["grid"], int(task["trials"]),
-                                             task_seed, threads)
-        csv_path = out_dir / f"{stem}.csv"
-        write_csv(csv_path, ["p", "zeta", "err", "method"],
-                  [(repr(p), repr(z), repr(e), curve.method) for p, z, e in curve.rows()],
-                  prov)
-        files = [csv_path]
-
-    elif ttype == "expansion":
-        eps = float(task["eps"])
-        mode = task.get("mode", "edge")
-        if task.get("exact"):
-            rep = expansion_exact(g, eps, mode, cap=int(task.get("cap", 20)))
-        else:
-            rep = expansion_heuristic(g, eps, mode,
-                                      budget=int(task.get("budget", 2000)),
-                                      seed=task_seed)
-        json_path = out_dir / f"{stem}.json"
-        write_json(json_path, {
-            "provenance": prov, "task": task,
-            "report": {
-                "epsilon": rep.epsilon, "mode": rep.mode, "value": rep.value,
-                "value_fraction": rep.value_fraction, "exact": rep.exact,
-                "witness_set": rep.witness_set,
-            },
-        })
-        files = [json_path]
-
-    elif ttype == "bridges":
-        p = _task_p(task)
-        rep = pivotal_bridge_report(g, int(task["vertex"]), int(task["k"]), p,
-                                    int(task["trials"]), task_seed)
-        json_path = out_dir / f"{stem}.json"
-        write_json(json_path, {"provenance": prov, "task": task, "report": {
-            "k": rep.k, "p": rep.p, "pivotal_rate": rep.pivotal_rate,
-            "bridge_count_mean": rep.bridge_count_mean, "trials": rep.trials,
-            "zeta_k_hat": rep.zeta_k_hat,
-            "bridge_count_halfwidth": rep.bridge_count_halfwidth,
-            "fd_slope": rep.fd_slope, "fd_step": rep.fd_step,
-            "fd_halfwidth": rep.fd_halfwidth,
-        }})
-        files = [json_path]
-
+    if table is not None:
+        files.append(out_dir / f"{stem}.csv")
+        write_csv(files[-1], *table, prov)
+    if body is not None:
+        files.append(out_dir / f"{stem}.json")
+        write_json(files[-1], {"provenance": prov, "task": task, **body})
     return files
+
+
+def _failed(exc: Exception) -> dict:
+    return {"status": "failed", "files": [],
+            "error": {"code": type(exc).__name__, "message": str(exc)}}
 
 
 def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Execute tasks in declared order; write artifacts plus manifest.json.
 
     A failing task is recorded in the manifest without destroying completed
-    outputs. Returns the manifest dict.
+    outputs. When the graph cannot be built, every task is recorded as
+    failed with the build's error. Returns the manifest dict.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = config.hash()
-    graph = config.gen.build()
-    prov_base = {"gen_spec_hash": config.gen.content_hash(),
-                 "n": graph.n, "m": graph.m}
-    if graph.meta.get("erased"):
-        prov_base["erased"] = True
-    manifest_tasks = []
-    for i, task in enumerate(config.tasks):
-        task_seed = substream_seed(config.master_seed, f"task:{i}:{task['type']}")
-        prov = _provenance(cfg_hash, config.master_seed, dict(prov_base, task_index=i))
-        entry = {"index": i, "type": task["type"]}
-        try:
-            files = _run_task(graph, task, i, task_seed, out_dir, prov, threads)
-            entry["status"] = "ok"
-            entry["files"] = [{"path": f.name, "sha256": file_sha256(f)} for f in files]
-        except Exception as exc:  # record and continue with remaining tasks
-            entry["status"] = "failed"
-            entry["error"] = {"code": type(exc).__name__, "message": str(exc)}
-            entry["files"] = []
-        manifest_tasks.append(entry)
     manifest = {
         "config_hash": cfg_hash,
         "master_seed": config.master_seed,
         "version": f"outbreak-local/{__version__}",
         "gen": config.gen.to_json_dict(),
-        "tasks": manifest_tasks,
+        "tasks": [],
     }
+    try:
+        graph = config.gen.build()
+    except Exception as exc:  # recorded in the manifest; no task can run
+        manifest["tasks"] = [{"index": i, "type": task["type"], **_failed(exc)}
+                             for i, task in enumerate(config.tasks)]
+        write_json(out_dir / "manifest.json", manifest)
+        return manifest
+    prov_base = {"gen_spec_hash": config.gen.content_hash(), "n": graph.n, "m": graph.m}
+    if graph.meta.get("erased"):
+        prov_base["erased"] = True
+    for i, task in enumerate(config.tasks):
+        task_seed = substream_seed(config.master_seed, f"task:{i}:{task['type']}")
+        prov = _provenance(cfg_hash, config.master_seed, dict(prov_base, task_index=i))
+        try:
+            files = run_task(graph, task, f"{task['type']}_{i:02d}", task_seed, out_dir,
+                             prov, threads)
+            entry = {"status": "ok",
+                     "files": [{"path": f.name, "sha256": file_sha256(f)} for f in files]}
+        except Exception as exc:  # record and continue with remaining tasks
+            entry = _failed(exc)
+        manifest["tasks"].append({"index": i, "type": task["type"], **entry})
     write_json(out_dir / "manifest.json", manifest)
     return manifest

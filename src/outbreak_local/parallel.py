@@ -16,20 +16,26 @@ THREADS_ENV_VAR = "OUTBREAK_LOCAL_THREADS"
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit thread count, else the OUTBREAK_LOCAL_THREADS env var, else 1."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        return threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
+    """Explicit thread count, else the OUTBREAK_LOCAL_THREADS env var, else 1.
+    Either source must give an integer >= 1."""
+    if threads is None:
+        env = os.environ.get(THREADS_ENV_VAR)
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"threads must be >= 1, got {THREADS_ENV_VAR}={env!r}") from None
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def parallel_map(fn: Callable[[int], T], count: int, threads: int = 1) -> list[T]:
-    """[fn(0), ..., fn(count-1)], computed with up to `threads` workers."""
-    if threads <= 1 or count <= 1:
+    """[fn(0), ..., fn(count-1)], computed with up to `threads` workers,
+    never more than os.cpu_count()."""
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

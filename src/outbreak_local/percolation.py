@@ -9,7 +9,7 @@ mask(p2) whenever p1 <= p2 for the same (seed, trial_index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,7 +107,9 @@ def giant_fraction(g: Graph, p: float, trials: int, seed: int, threads: int = 1)
 
 
 def degree_law_from_dict(law: dict) -> np.ndarray:
-    """Probability array indexed by degree from a {degree: prob} dict."""
+    """Probability array indexed by degree from a {degree: prob} dict; keys
+    may also be decimal strings, as JSON objects have them."""
+    law = {int(k): float(w) for k, w in law.items()}
     kmax = max(law)
     probs = np.zeros(kmax + 1, dtype=np.float64)
     for k, w in law.items():
@@ -276,6 +278,9 @@ class BridgeReport:
     fd_step: float | None
     fd_halfwidth: float | None
     seed: int
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
 
 
 def _python_adjacency(g: Graph):

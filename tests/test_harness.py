@@ -1,12 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from outbreak_local import ConfigError, ExperimentConfig, run_experiment
+from outbreak_local import ConfigError, ExperimentConfig, harness, parallel, run_experiment
 from outbreak_local.cli import main, parse_degrees, parse_p
-from outbreak_local.harness import config_hash
+from outbreak_local.harness import config_hash, write_csv, write_json
 
 
 def small_config(master_seed=7):
@@ -25,6 +26,33 @@ def small_config(master_seed=7):
             {"type": "expansion", "eps": 0.3, "mode": "edge", "budget": 100},
         ],
     }
+
+
+# SHA-256 of every artifact of small_config() at one worker. A change that
+# claims to keep behaviour keeps these; only a change meant to alter the
+# artifacts may update them.
+SMALL_CONFIG_SHA256 = {
+    "bridges_05.json":
+        "d2c98af00fce87b40a6ab6a9f6e5c3b591feb771da6579b4562842276254d9fa",
+    "estimate_01.json":
+        "7d332cd6ca4094ceb1688cf36d71b8c2286b57b7c42673b498c76fe8b8212aea",
+    "expansion_06.json":
+        "78b829a7060a927611da1d075496c94f2af9857cbdace56479aa7681ac7c2646",
+    "giant_00.csv":
+        "00e9c5f229e8d0f40988e5d45f2c18785cc21f91645bb545d49279b07da3e3f3",
+    "giant_00.json":
+        "d03fd034d5f8d1ffbc0a57ffecce1cdfedb83fc25305dd1a9db17838c659f0d6",
+    "histogram_02.csv":
+        "7a4071e17054787c7aab7ab59d3f13d3b85df90551ff0c746b7c9d796a539046",
+    "histogram_02.json":
+        "6797c062df28edcf8e47b82f32b4c4bea8cd22365f0063f3f0dc37f361a7f799",
+    "manifest.json":
+        "e5047c37839220b8c0bc715d6c0e8841eec59c413dac812c36b6949b0a9bb05e",
+    "survival_03.csv":
+        "62ff9e0d9a28bb44a6a2c7f5edb8f9af5ff57d1f53e47ec7195eab0a2dbbc8a3",
+    "survival_04.csv":
+        "7c668be63ba367e4cd0d8c85989bd0dd4a3103c2ff69c8d3a70c4ec75eb304c1",
+}
 
 
 def manifest_hashes(manifest):
@@ -97,6 +125,21 @@ class TestRunExperiment:
         assert manifest["tasks"][0]["error"]["code"] == "ExpansionCapError"
         assert statuses[1:] == ["ok"] * 7
 
+    def test_artifact_bytes_pinned(self, tmp_path):
+        run_experiment(ExperimentConfig.from_dict(small_config()), tmp_path, threads=1)
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in tmp_path.iterdir()} == SMALL_CONFIG_SHA256
+
+    def test_failed_build_still_writes_manifest(self, tmp_path):
+        data = small_config()
+        data["gen"] = {"model": "cm", "params": {"degrees": [3, 1]}, "seed": 1}
+        run_experiment(ExperimentConfig.from_dict(data), tmp_path, threads=1)
+        assert [f.name for f in tmp_path.iterdir()] == ["manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [t["status"] for t in manifest["tasks"]] == ["failed"] * 7
+        assert {t["error"]["code"] for t in manifest["tasks"]} == {"GeneratorError"}
+        assert "not graphical" in manifest["tasks"][0]["error"]["message"]
+
     def test_different_master_seed_changes_outputs(self, tmp_path):
         m1 = run_experiment(ExperimentConfig.from_dict(small_config(1)), tmp_path / "a")
         m2 = run_experiment(ExperimentConfig.from_dict(small_config(2)), tmp_path / "b")
@@ -111,6 +154,69 @@ class TestRunExperiment:
         surv = (tmp_path / "survival_03.csv").read_text().splitlines()
         assert surv[1] == "p,zeta,err,method"
         assert [line.split(",")[0] for line in surv[2:]] == ["0.0", "0.5", "0.9", "1.0"]
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path, x: write_json(path, {"x": x}),
+        lambda path, x: write_csv(path, ["x"], [(x,)], {"seed": 0}),
+    ])
+    def test_failed_replace_keeps_old_bytes(self, tmp_path, monkeypatch, write):
+        target = tmp_path / "artifact"
+        write(target, 1)
+        old = target.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(harness.os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            write(target, 2)
+        assert target.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [target]
+
+
+class TestThreads:
+    @pytest.mark.parametrize("env", ["-4", "0", "abc", "2.5"])
+    def test_bad_env_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("OUTBREAK_LOCAL_THREADS", env)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            parallel.resolve_threads(None)
+
+    def test_env_and_explicit(self, monkeypatch):
+        monkeypatch.delenv("OUTBREAK_LOCAL_THREADS", raising=False)
+        assert parallel.resolve_threads(None) == 1
+        monkeypatch.setenv("OUTBREAK_LOCAL_THREADS", "3")
+        assert parallel.resolve_threads(None) == 3
+        assert parallel.resolve_threads(2) == 2
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            parallel.resolve_threads(0)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        requested = []
+
+        class SerialPool:  # records the worker count; starts no thread
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        assert parallel.parallel_map(lambda i: i * i, 50, threads=10_000) == [
+            i * i for i in range(50)]
+        assert parallel.parallel_map(lambda i: i, 2, threads=10_000) == [0, 1]
+        assert requested == [3, 2]
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert parallel.parallel_map(lambda i: i, 5, threads=8) == list(range(5))
+        assert requested == [3, 2]
 
 
 class TestCliParsers:
@@ -202,11 +308,28 @@ class TestCli:
     def test_lambda_flag(self, tmp_path):
         graph = tmp_path / "k3.edges"
         graph.write_text("0 1\n0 2\n1 2\n")
-        assert self.run("estimate", "--graph", str(graph), "--lambda", "1.0",
-                        "--k", "1", "--q", "10", "--seed", "0",
-                        "--out", str(tmp_path)) == 0
-        rep = json.loads((tmp_path / "estimate.json").read_text())
+        assert self.run("giant", "--graph", str(graph), "--lambda", "1.0",
+                        "--trials", "3", "--seed", "0", "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "giant.json").read_text())
         assert rep["p"] == 0.5
+
+    def test_p_and_lambda_together_rejected(self, tmp_path, capsys):
+        graph = tmp_path / "k3.edges"
+        graph.write_text("0 1\n0 2\n1 2\n")
+        assert self.run("estimate", "--graph", str(graph), "--p", "0.9", "--lambda", "1.0",
+                        "--k", "1", "--q", "10", "--out", str(tmp_path)) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid_config"
+        assert not (tmp_path / "estimate.json").exists()
+
+    def test_giant_writes_csv_and_json(self, tmp_path):
+        assert self.run("giant", "--model", "k-regular", "--d", "3", "--n", "200",
+                        "--p", "0.8", "--trials", "4", "--seed", "3",
+                        "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "giant.csv").read_text().splitlines()
+        assert lines[1] == "trial,giant_fraction" and len(lines) == 6
+        rep = json.loads((tmp_path / "giant.json").read_text())
+        assert rep["task"] == {"type": "giant", "p": 0.8, "trials": 4}
+        assert 0.5 < rep["mean"] <= 1.0
 
     def test_experiment_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
