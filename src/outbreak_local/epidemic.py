@@ -7,7 +7,10 @@ graph. Event order is exposed as BFS generations (Reed-Frost order).
 
 The local ball query runs the coupled process inside the induced subgraph on
 B_k(v) and reports whether at least k vertices were ever infected (seed
-included; a toggle switches to the strictly-more-than-seed convention).
+included; a toggle switches to the strictly-more-than-seed convention). The
+spread stops once the threshold is reached, which happens before it could
+leave the ball, so a query's cost does not depend on n. The estimator's
+ball-overlap diagnostic is computed once per estimate, not per query.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .graph import Graph, _dedup_unvisited, _gather_neighbors, bfs_distances, mask_bits, masked_spread
+from .graph import Graph, _arc_index, _gather_neighbors, bfs_distances, mask_bits, masked_spread
 from .parallel import parallel_map
 from .seeds import rng_for, substream_seed
 
@@ -90,35 +94,27 @@ def run_sir(g: Graph, seeds, params: TransmissionParams, rng: np.random.Generato
 # local ball queries
 
 
-def _percolated_spread_in_ball(
-    g: Graph,
-    v: int,
-    p: float,
-    rng: np.random.Generator,
-    in_ball: np.ndarray,
-) -> int:
-    """Infected count of the coupled SIR inside the induced subgraph on the
-    ball, drawing each induced edge's indicator lazily on first contact.
+def _spread_until(g: Graph, v: int, p: float, rng: np.random.Generator, threshold: int) -> int:
+    """Infected count of the coupled SIR from seed v, drawing each edge's
+    indicator lazily on first contact and stopping once the count reaches
+    `threshold` (or the spread dies). The count is exact up to the threshold.
 
-    Each edge is examined toward an unvisited endpoint at most once (the
+    Each edge is examined toward an uninfected endpoint at most once (the
     examining endpoint is already infected and never re-scanned), so lazy
-    draws realize independent Bernoulli(p) indicators per edge.
+    draws realize independent Bernoulli(p) indicators per edge. While the
+    count is below a threshold of at most k+1, every generation so far is
+    nonempty, so the frontier being expanded is at generation <= k-1 and all
+    its neighbours lie in B_k(v): the run is the ball-restricted one up to
+    the decision, with the same uniforms drawn. Nothing here is of size n.
     """
-    eligible = in_ball.copy()  # in the ball and not yet infected
-    eligible[v] = False
-    count = 1
-    frontier = np.array([v], dtype=np.int64)
-    scratch = np.empty(g.n, dtype=bool)
-    while frontier.size:
+    infected = np.array([v], dtype=np.int64)
+    frontier = infected
+    while infected.size < threshold and frontier.size:
         nbrs = _gather_neighbors(g, frontier)
-        nbrs = nbrs[eligible[nbrs]]
-        if nbrs.size == 0:
-            break
-        hit = nbrs[rng.random(nbrs.size) < p]
-        frontier = _dedup_unvisited(g, hit, scratch)
-        eligible[frontier] = False
-        count += frontier.size
-    return count
+        nbrs = nbrs[~np.isin(nbrs, infected)]
+        frontier = np.unique(nbrs[rng.random(nbrs.size) < p])
+        infected = np.concatenate([infected, frontier])
+    return int(infected.size)
 
 
 def local_query(
@@ -131,14 +127,14 @@ def local_query(
 ) -> int:
     """One query of the local infection probe: run the coupled SIR in
     B_k(v) from seed v; return 1 iff at least k vertices are ever infected
-    (count_seed=False requires k vertices besides the seed)."""
+    (count_seed=False requires k vertices besides the seed).
+
+    The spread stops as soon as the threshold is reached, which decides the
+    query without leaving B_k(v); its cost does not depend on n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dist = bfs_distances(g, [v], limit=k)
-    in_ball = dist >= 0
-    infected = _percolated_spread_in_ball(g, v, params.p, rng, in_ball)
     threshold = k if count_seed else k + 1
-    return 1 if infected >= threshold else 0
+    return 1 if _spread_until(g, v, params.p, rng, threshold) >= threshold else 0
 
 
 def local_query_with_mask(g: Graph, v: int, k: int, mask, count_seed: bool = True) -> int:
@@ -210,6 +206,123 @@ def _draw_query_vertex(g: Graph, rng: np.random.Generator, degree_biased: bool,
             return v, proposals
 
 
+_BLOCK = 1 << 18  # keys or pair entries handled at once in the overlap count
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique by sorting (numpy's hash-based unique is slower on the large
+    key arrays here)."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])] if x.size else x
+
+
+def _in_sorted(hay: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Membership of each of `x` in the sorted array `hay`."""
+    if hay.size == 0:
+        return np.zeros(x.size, dtype=bool)
+    i = np.searchsorted(hay, x)
+    i[i == hay.size] = 0
+    return hay[i] == x
+
+
+def _next_layers(g: Graph, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """BFS layers r+1 of several sources at once. Layers are sorted keys
+    source*n + vertex; the neighbours of layer r lie in layers r-1, r and
+    r+1, so `cur` (layer r) and `prev` (layer r-1) are all the visited set
+    needed. Sources go in blocks of about _BLOCK arcs."""
+    n = g.n
+    vert = cur % n
+    deg = g.offsets[vert + 1] - g.offsets[vert]
+    arcs = np.cumsum(deg)
+    cuts = np.searchsorted(arcs, np.arange(_BLOCK, int(arcs[-1]) if arcs.size else 0, _BLOCK))
+    cuts = np.searchsorted(cur, cur[cuts] // n * n)  # back to the start of a source's block
+    bounds = np.unique(np.concatenate([[0], cuts, [cur.size]]))
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = cur[lo:hi]
+        keys = (np.repeat(block // n, deg[lo:hi]) * n
+                + g.neighbors[_arc_index(g, vert[lo:hi])])
+        keys = _sorted_unique(keys)
+        last = prev[np.searchsorted(prev, block[0] // n * n):
+                    np.searchsorted(prev, (block[-1] // n + 1) * n)]
+        out.append(keys[~(_in_sorted(block, keys) | _in_sorted(last, keys))])
+    return np.concatenate(out) if out else cur[:0]
+
+
+def _meeting_pairs(cur: np.ndarray, prev: np.ndarray, n: int, s: int,
+                   label: np.ndarray, met: np.ndarray) -> np.ndarray:
+    """Sorted keys a*s + b (a < b), not in `met`, of the sources whose newest
+    layer meets the newest or the previous layer of the other, from a sparse
+    product over vertex columns in blocks of rows. `label` is n-sized
+    scratch; only the entries of the vertices in the layers are used."""
+    cur_v, prev_v = cur % n, prev % n
+    label[prev_v] = np.arange(prev.size)
+    label[cur_v] = prev.size + np.arange(cur.size)  # one column per vertex
+    cols = prev.size + cur.size
+    rows = np.arange(s + 1, dtype=np.int64) * n
+    newest = sparse.csr_matrix((np.ones(cur.size, dtype=bool), label[cur_v],
+                                np.searchsorted(cur, rows)), shape=(s, cols))
+    previous = sparse.csr_matrix((np.ones(prev.size, dtype=bool), label[prev_v],
+                                  np.searchsorted(prev, rows)), shape=(s, cols))
+    recent = (newest + previous).T.tocsr()
+    step = max(1, _BLOCK // s)
+    keys = []
+    for lo in range(0, s, step):
+        hits = (newest[lo:lo + step] @ recent).tocoo()
+        a = hits.row.astype(np.int64) + lo
+        b = hits.col.astype(np.int64)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        new = _sorted_unique(a[a != b] * s + b[a != b])
+        keys.append(new[~_in_sorted(met, new)])
+    return _sorted_unique(np.concatenate(keys))
+
+
+def _overlap_pairs(g: Graph, vertices, k: int) -> int:
+    """Ordered pairs (i, j), i != j, of query indices whose k-balls overlap,
+    i.e. dist(v_i, v_j) <= 2k; repeated vertices count with multiplicity.
+
+    B_r(u) and B_r(w) meet iff dist(u, w) <= 2r, so the k-balls of the
+    distinct vertices (the sources) grow in lockstep, one BFS layer per
+    round. A pair at distance d is found at round r = ceil(d/2), where the
+    new layer L_r of one source meets L_r or L_{r-1} of the other. The pairs
+    met so far among the growing sources are kept sparse. A source stops
+    growing, and its layers and pairs are dropped, once it has met every
+    source still growing or exhausted its component: no later round could
+    add a pair to it. No ball is held whole, and the cost is O(q |B_r|) at
+    the radius r <= k where the pairs resolve, not O(q n).
+    """
+    src, mult = np.unique(np.asarray(vertices, dtype=np.int64), return_counts=True)
+    s = src.size
+    n = g.n
+    found = int(mult @ mult)  # ordered pairs of equal vertices, self-pairs included
+    alive = np.ones(s, dtype=bool)
+    met = np.empty(0, dtype=np.int64)  # sorted pair keys a*s + b, a < b, both alive
+    label = np.empty(n, dtype=np.int64)
+    cur = np.arange(s, dtype=np.int64) * n + src  # layer r as keys source*n + vertex
+    prev = cur[:0]
+    for r in range(1, k + 1):
+        prev, cur = cur, _next_layers(g, cur, prev)
+        keys = _meeting_pairs(cur, prev, n, s, label, met)
+        a, b = np.divmod(keys, s)
+        found += 2 * int(mult[a] @ mult[b])
+        met = np.insert(met, np.searchsorted(met, keys), keys)
+        if r == k:
+            break
+        a, b = np.divmod(met, s)
+        met_weight = (mult + np.bincount(a, weights=mult[b], minlength=s)
+                      + np.bincount(b, weights=mult[a], minlength=s))
+        grew = np.zeros(s, dtype=bool)
+        grew[cur // n] = True
+        done = alive & ((met_weight == mult[alive].sum()) | ~grew)
+        alive &= ~done
+        if not alive.any():
+            break
+        met = met[alive[a] & alive[b]]
+        cur = cur[alive[cur // n]]
+        prev = prev[alive[prev // n]]
+    return found - int(mult.sum())
+
+
 def _run_estimate(
     g: Graph,
     k: int,
@@ -227,36 +340,19 @@ def _run_estimate(
     dmax = int(degrees.max()) if degree_biased else 0
     if degree_biased and dmax == 0:
         raise ValueError("degree-biased seeding needs at least one edge")
+    threshold = k if count_seed else k + 1
 
     def one(i: int):
         rng = rng_for(master_seed, label, i)
         v, proposals = _draw_query_vertex(g, rng, degree_biased, degrees, dmax)
-        dist = bfs_distances(g, [v], limit=2 * k)
-        in_ball = (dist >= 0) & (dist <= k)
-        infected = _percolated_spread_in_ball(g, v, params.p, rng, in_ball)
-        success = infected >= (k if count_seed else k + 1)
-        return v, success, proposals, dist
+        return v, _spread_until(g, v, params.p, rng, threshold) >= threshold, proposals
 
-    # vertices are the first draw of each substream; recompute cheaply so the
-    # overlap diagnostic can run inside the per-query pass
-    query_vertices = np.array(
-        [_draw_query_vertex(g, rng_for(master_seed, label, i), degree_biased, degrees, dmax)[0]
-         for i in range(q)],
-        dtype=np.int64,
-    )
-
-    def one_with_overlap(i: int):
-        v, success, proposals, dist = one(i)
-        d = dist[query_vertices]
-        overlaps = int(np.count_nonzero((d >= 0) & (d <= 2 * k))) - 1  # drop self
-        return success, proposals, overlaps
-
-    results = parallel_map(one_with_overlap, q, threads)
-    successes = sum(r[0] for r in results)
-    proposals = sum(r[1] for r in results)
-    overlap_pairs = sum(r[2] for r in results)
+    results = parallel_map(one, q, threads)
+    successes = sum(r[1] for r in results)
+    proposals = sum(r[2] for r in results)
     n_tilde = successes / q
     halfwidth = 1.96 * math.sqrt(max(n_tilde * (1 - n_tilde), 0.0) / q)
+    overlap_pairs = _overlap_pairs(g, [r[0] for r in results], k)
     overlap_fraction = overlap_pairs / (q * (q - 1)) if q > 1 else 0.0
     return EstimatorReport(
         k=k, q=q, n_tilde=n_tilde, halfwidth=halfwidth, master_seed=master_seed,
@@ -276,9 +372,11 @@ def estimate(
     count_seed: bool = True,
 ) -> EstimatorReport:
     """Average of q local queries at uniformly random vertices, each on its
-    own substream. Also reports the fraction of query pairs whose k-balls
-    overlap (balls overlap iff the query vertices are within distance 2k);
-    overlapping pairs are measured, not rejected."""
+    own substream; each query's spread stops at its threshold. Also reports
+    the exact fraction of query pairs whose k-balls overlap (balls overlap
+    iff the query vertices are within distance 2k), computed once from all
+    query vertices after the queries; overlapping pairs are measured, not
+    rejected."""
     return _run_estimate(g, k, q, params, master_seed, threads, count_seed,
                          degree_biased=False, label="query")
 

@@ -55,6 +55,20 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+# numeric task fields and their types; validate_task checks each one given
+_NUMERIC_FIELDS = {"p": float, "lambda": float, "k": int, "q": int, "trials": int,
+                   "vertex": int, "eps": float}
+
+
+def _number(value, kind, what: str):
+    """kind(value), or a ConfigError naming `what` when it does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+
+
 def _task_p(task: dict) -> float:
     if "lambda" in task:
         lam = float(task["lambda"])
@@ -70,6 +84,9 @@ def validate_task(task: dict, i: int) -> None:
     index, used in the messages."""
     ttype = task.get("type")
     _require(ttype in TASKS, f"task {i}: unknown type {ttype!r}")
+    for key, kind in _NUMERIC_FIELDS.items():
+        if key in task:
+            _number(task[key], kind, f"task {i}: {key}")
     if ttype in ("histogram", "giant", "bridges", "estimate"):
         p = _task_p(task)
         _require(0.0 <= p <= 1.0, f"task {i}: p={p} outside [0, 1]")
@@ -117,7 +134,7 @@ class ExperimentConfig:
         _require("tasks" in data and isinstance(data["tasks"], list) and data["tasks"],
                  "config needs a nonempty 'tasks' list")
         gen = GenSpec.from_json_dict(data["gen"])
-        master_seed = int(data.get("master_seed", 0))
+        master_seed = _number(data.get("master_seed", 0), int, "master_seed")
         tasks = [dict(t) for t in data["tasks"]]
         for i, task in enumerate(tasks):
             validate_task(task, i)

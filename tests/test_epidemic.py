@@ -1,6 +1,9 @@
+import itertools
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from outbreak_local import (
     TransmissionParams,
@@ -11,6 +14,8 @@ from outbreak_local import (
     estimate_degree_biased,
     exact_component_distribution,
     gen_k_regular,
+    gen_motif_overlay,
+    gen_pa,
     gen_two_block,
     lambda_to_p,
     local_query,
@@ -21,7 +26,10 @@ from outbreak_local import (
     run_sir_with_mask,
     survival_fixed_point_cm,
 )
-from outbreak_local.epidemic import _draw_query_vertex
+from outbreak_local import epidemic
+from outbreak_local.epidemic import _draw_query_vertex, _overlap_pairs
+from outbreak_local.generators import Motif, MotifDistribution
+from outbreak_local.graph import _dedup_unvisited, _gather_neighbors, bfs_distances
 
 from conftest import random_gnp_edges
 
@@ -155,6 +163,67 @@ class TestLocalQuery:
                 assert all(a >= b for a, b in zip(outs, outs[1:]))
 
 
+class _NeedMore(Exception):
+    """The scripted draws ran out; carries how many more were asked for."""
+
+
+class _ScriptedRng:
+    """Stand-in generator whose random(size) returns the next scripted 0/1
+    uniforms: 0 opens the edge being examined and 1 closes it, for any p in
+    (0, 1)."""
+
+    def __init__(self, bits):
+        self.bits, self.pos = bits, 0
+
+    def random(self, size):
+        if self.pos + size > len(self.bits):
+            raise _NeedMore(self.pos + size - len(self.bits))
+        out = np.array(self.bits[self.pos:self.pos + size], dtype=float)
+        self.pos += size
+        return out
+
+
+def query_success_law(g, v, k, count_seed, p):
+    """Exact P(local_query succeeds) at a Fraction p, and the total branch
+    mass, by running the query on every branch of its lazy draws: a branch
+    with h opened and c closed edges has probability p^h (1-p)^c."""
+    success = total = Fraction(0)
+    stack = [()]
+    while stack:
+        bits = stack.pop()
+        try:
+            hit = local_query(g, v, k, TransmissionParams(p=0.5), _ScriptedRng(bits),
+                              count_seed=count_seed)
+        except _NeedMore as more:
+            stack.extend(bits + tail for tail in itertools.product((0, 1), repeat=more.args[0]))
+            continue
+        mass = p ** bits.count(0) * (1 - p) ** bits.count(1)
+        total += mass
+        success += mass if hit else 0
+    return success, total
+
+
+class TestQueryLaw:
+    # the branch tree grows like 2^m; zoo graphs above 12 edges would take minutes
+    MAX_EDGES = 12
+
+    def test_success_law_equals_component_tail(self, small_graph_zoo):
+        p = Fraction(1, 3)
+        graphs = [g for g in small_graph_zoo if g.m <= self.MAX_EDGES]
+        assert len(graphs) >= 15
+        for g in graphs:
+            for v in range(g.n):
+                law = exact_component_distribution(g, v, p)
+                for k in sorted({1, 2, 3, g.n}):
+                    for count_seed in (True, False):
+                        threshold = k if count_seed else k + 1
+                        tail = sum((law.prob_of(s) for s in range(threshold, g.n + 1)),
+                                   Fraction(0))
+                        got, total = query_success_law(g, v, k, count_seed, p)
+                        assert total == 1
+                        assert got == tail, (g, v, k, count_seed)
+
+
 class TestEstimate:
     def test_full_transmission(self):
         g = gen_k_regular(3, 200, 2)
@@ -186,6 +255,132 @@ class TestEstimate:
         g = gen_k_regular(3, 20_000, 3)
         rep = estimate(g, 3, 200, TransmissionParams(p=0.3), 5)
         assert rep.overlap_fraction < 0.05
+
+
+def reference_estimate(g, k, q, p, master_seed, count_seed, degree_biased):
+    """The estimator before the early-stopping kernel: per query a radius-2k
+    BFS, the spread restricted to B_k(v) run to extinction, and the overlap
+    counted from that BFS. Returns (n_tilde, overlap_fraction,
+    acceptance_rate)."""
+    degrees = g.degrees()
+    dmax = int(degrees.max())
+    draw = [_draw_query_vertex(g, rng_for(master_seed, "query", i), degree_biased, degrees, dmax)
+            for i in range(q)]
+    vertices = np.array([v for v, _ in draw])
+    successes = pairs = 0
+    scratch = np.empty(g.n, dtype=bool)
+    for i in range(q):
+        rng = rng_for(master_seed, "query", i)
+        v, _ = _draw_query_vertex(g, rng, degree_biased, degrees, dmax)
+        dist = bfs_distances(g, [v], limit=2 * k)
+        eligible = (dist >= 0) & (dist <= k)
+        eligible[v] = False
+        count = 1
+        frontier = np.array([v], dtype=np.int64)
+        while frontier.size:
+            nbrs = _gather_neighbors(g, frontier)
+            nbrs = nbrs[eligible[nbrs]]
+            if nbrs.size == 0:
+                break
+            hit = nbrs[rng.random(nbrs.size) < p]
+            frontier = _dedup_unvisited(g, hit, scratch)
+            eligible[frontier] = False
+            count += frontier.size
+        successes += count >= (k if count_seed else k + 1)
+        d = dist[vertices]
+        pairs += int(np.count_nonzero((d >= 0) & (d <= 2 * k))) - 1
+    proposals = sum(prop for _, prop in draw)
+    return (successes / q, pairs / (q * (q - 1)) if q > 1 else 0.0,
+            q / proposals if degree_biased else None)
+
+
+def brute_overlap_pairs(g, vertices, k):
+    """Ordered pairs i != j with dist(v_i, v_j) <= 2k, by full BFS per query."""
+    vertices = np.asarray(vertices)
+    total = 0
+    for v in vertices:
+        d = bfs_distances(g, [v])[vertices]
+        total += int(np.count_nonzero((d >= 0) & (d <= 2 * k))) - 1
+    return total
+
+
+def motif_overlay_graph():
+    tri = Motif(build_graph([(0, 1), (1, 2), (0, 2)], 3), [1, 1, 1])
+    return gen_motif_overlay(gen_k_regular(3, 300, 21), MotifDistribution({3: [(tri, 1.0)]}),
+                             22).graph
+
+
+REFERENCE_GRAPHS = {
+    "cm": lambda: gen_k_regular(3, 2_000, 14),
+    "pa": lambda: gen_pa(2, 2_000, 15),
+    "two_block": lambda: gen_two_block(3, 2_000, 16),
+    "overlay": motif_overlay_graph,
+}
+
+
+class TestEqualsPerQueryReference:
+    @pytest.mark.parametrize("name", REFERENCE_GRAPHS)
+    def test_reports_equal(self, name):
+        g = REFERENCE_GRAPHS[name]()
+        for p, k, count_seed, degree_biased in itertools.product(
+                (0.3, 0.7, 0.9), (1, 2, 5, 20), (True, False), (False, True)):
+            fn = estimate_degree_biased if degree_biased else estimate
+            rep = fn(g, k, 40, TransmissionParams(p=p), 31, count_seed=count_seed)
+            got = (rep.n_tilde, rep.overlap_fraction, rep.acceptance_rate)
+            want = reference_estimate(g, k, 40, p, 31, count_seed, degree_biased)
+            assert got == want, (name, p, k, count_seed, degree_biased)
+
+    def test_overlap_disconnected(self):
+        # a 30-cycle, a 10-path, a triangle and isolated vertices
+        edges = [(i, (i + 1) % 30) for i in range(30)]
+        edges += [(30 + i, 31 + i) for i in range(9)] + [(40, 41), (41, 42), (40, 42)]
+        g = build_graph(edges, 50)
+        vertices = np.random.default_rng(3).integers(g.n, size=25)
+        for k in (1, 2, 3, 4, 7, 40):
+            assert _overlap_pairs(g, vertices, k) == brute_overlap_pairs(g, vertices, k)
+
+    def test_overlap_more_queries_than_vertices(self):
+        g = build_graph(random_gnp_edges(np.random.default_rng(4), 12, 0.2), 12)
+        vertices = np.random.default_rng(5).integers(g.n, size=50)
+        for k in (1, 2, 5):
+            assert _overlap_pairs(g, vertices, k) == brute_overlap_pairs(g, vertices, k)
+        assert _overlap_pairs(g, [3] * 7, 1) == 7 * 6
+
+    def test_overlap_resolving_only_at_round_k(self):
+        # sources every 2k (and one at 2k+1) along a 200-cycle: each pair of
+        # neighbours meets only in the last round, every other pair never
+        k = 9
+        g = build_graph([(i, (i + 1) % 200) for i in range(200)], 200)
+        vertices = [0, 18, 36, 54, 73, 91]
+        assert _overlap_pairs(g, vertices, k) == brute_overlap_pairs(g, vertices, k) == 8
+        for kk in (k - 1, k + 1, 1_000):
+            assert _overlap_pairs(g, vertices, kk) == brute_overlap_pairs(g, vertices, kk)
+
+    def test_query_allocates_nothing_of_size_n(self, monkeypatch):
+        # n = 2e6 vertices, edges only on a 3-regular piece of 1000: every
+        # per-query closure must stay far below one n-sized array
+        n = 2_000_000
+        g = build_graph(gen_k_regular(3, 1_000, 17).edges, n)
+        peaks = []
+
+        def traced_map(fn, count, threads=1):
+            out = []
+            for i in range(count):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out.append(fn(i))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(epidemic, "parallel_map", traced_map)
+        tracemalloc.start()
+        try:
+            estimate_degree_biased(g, 50, 20, TransmissionParams(p=0.9), 1)
+            estimate(g, 50, 20, TransmissionParams(p=0.9), 1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 40
+        assert max(peaks) < n // 20
 
 
 class TestDegreeBiased:

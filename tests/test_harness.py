@@ -97,6 +97,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="grid"):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize("task, field", [
+        ({"type": "estimate", "p": 0.5, "k": "abc", "q": 3}, "k"),
+        ({"type": "estimate", "p": 0.5, "k": 3, "q": "many"}, "q"),
+        ({"type": "estimate", "p": "x", "k": 3, "q": 3}, "p"),
+        ({"type": "giant", "lambda": "fast", "trials": 2}, "lambda"),
+        ({"type": "giant", "p": 0.5, "trials": None}, "trials"),
+        ({"type": "bridges", "p": 0.5, "k": 2, "trials": 2, "vertex": "v0"}, "vertex"),
+        ({"type": "expansion", "eps": [0.3]}, "eps"),
+    ])
+    def test_non_numeric_field(self, task, field):
+        data = small_config()
+        data["tasks"].append(task)
+        with pytest.raises(ConfigError, match=f"task 7: {field} must be"):
+            ExperimentConfig.from_dict(data)
+
+    def test_non_numeric_master_seed(self):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            ExperimentConfig.from_dict(dict(small_config(), master_seed="x"))
+
 
 class TestRunExperiment:
     def test_all_tasks_ok_and_reproducible(self, tmp_path):
