@@ -20,6 +20,7 @@ from .graph import (
     expansion_heuristic,
     load_edge_list,
     masked_spread,
+    reach_size,
     save_edge_list,
     vertex_boundary,
 )

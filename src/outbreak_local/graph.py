@@ -4,6 +4,11 @@ and the large-set expansion functionals.
 Vertices are dense integers 0..n-1. The canonical edge list is sorted
 lexicographically with u < v; the position of an edge in that list is its
 edge id, which fixes mask bit positions everywhere in the package.
+
+Traversal has two routes. The layered numpy BFS (`bfs_distances`,
+`masked_spread`) gives hop distances and SIR generations. The C reach
+kernel (`reach_size`) gives only |C(v)| under an edge mask, through scipy's
+breadth-first search on the masked CSR.
 """
 
 from __future__ import annotations
@@ -273,6 +278,30 @@ def masked_spread(g: Graph, sources, bits: np.ndarray):
     if g.n < _SCALAR_CUTOFF:
         return _masked_spread_scalar(g, sources, bits)
     return _masked_spread_vector(g, sources, bits)
+
+
+def reach_size(g: Graph, v: int, bits: np.ndarray) -> int:
+    """|C(v)| in the subgraph of open edges, by scipy's C breadth-first search.
+
+    Closed arcs are pointed back at their own source; a self-loop adds
+    nothing to a BFS, so the row offsets stay `g.offsets` and nothing is
+    compacted. The CSR already holds both arcs of each edge, so the search
+    runs directed. Data and row offsets are float64 and int32, the types
+    csgraph uses inside, so it takes the matrix without a copy.
+    """
+    v = int(v)
+    if not (0 <= v < g.n):
+        raise GraphError(f"vertex {v} out of range [0, {g.n})")
+    if 2 * g.m > np.iinfo(np.int32).max:
+        raise GraphError(f"reach_size needs 2m within int32, got m={g.m}")
+    bits = mask_bits(g, bits)
+    idx = np.where(bits.take(g.arc_edge_ids), g.neighbors, g.arc_src)
+    a = sparse.csr_matrix(
+        (np.ones(idx.size, dtype=np.float64), idx, g.offsets.astype(np.int32)),
+        shape=(g.n, g.n),
+    )
+    return int(csgraph.breadth_first_order(a, v, directed=True,
+                                           return_predecessors=False).size)
 
 
 # ---------------------------------------------------------------------------

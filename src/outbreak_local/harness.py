@@ -56,8 +56,9 @@ def _require(cond: bool, message: str):
 
 
 # numeric task fields and their types; validate_task checks each one given
+# (a null zeta_ref means no reference, as when it is left out)
 _NUMERIC_FIELDS = {"p": float, "lambda": float, "k": int, "q": int, "trials": int,
-                   "vertex": int, "eps": float}
+                   "vertex": int, "eps": float, "delta": float, "zeta_ref": float}
 
 
 def _number(value, kind, what: str):
@@ -85,13 +86,18 @@ def validate_task(task: dict, i: int) -> None:
     ttype = task.get("type")
     _require(ttype in TASKS, f"task {i}: unknown type {ttype!r}")
     for key, kind in _NUMERIC_FIELDS.items():
-        if key in task:
+        if key in task and not (key == "zeta_ref" and task[key] is None):
             _number(task[key], kind, f"task {i}: {key}")
     if ttype in ("histogram", "giant", "bridges", "estimate"):
         p = _task_p(task)
         _require(0.0 <= p <= 1.0, f"task {i}: p={p} outside [0, 1]")
     if ttype in ("histogram", "giant", "bridges"):
         _require(int(task.get("trials", 0)) >= 1, f"task {i}: trials must be >= 1")
+    if ttype == "histogram":
+        _require(0 < float(task.get("delta", 0.05)) < 1, f"task {i}: delta must lie in (0, 1)")
+        if task.get("zeta_ref") is not None:
+            _require(0 <= float(task["zeta_ref"]) <= 1,
+                     f"task {i}: zeta_ref must lie in [0, 1]")
     if ttype == "estimate":
         _require(int(task.get("k", 0)) >= 1, f"task {i}: k must be >= 1")
         _require(int(task.get("q", 0)) >= 1, f"task {i}: q must be >= 1")
@@ -233,7 +239,9 @@ def _estimate(g: Graph, task: dict, seed: int, threads: int):
 def _histogram(g: Graph, task: dict, seed: int, threads: int):
     p = _task_p(task)
     zeta_ref = task.get("zeta_ref")
-    if zeta_ref is None and "zeta_degree_law" in task:
+    if zeta_ref is not None:
+        zeta_ref = float(zeta_ref)
+    elif "zeta_degree_law" in task:
         zeta_ref = survival_fixed_point_cm(degree_law_from_dict(task["zeta_degree_law"]), p)
     hist = outbreak_histogram(g, int(task["trials"]), TransmissionParams(p=p), seed,
                               delta=float(task.get("delta", 0.05)),

@@ -4,7 +4,8 @@ line (run with `pytest -s tests/test_acceptance.py` to see them live).
 Criteria 3-8 are asserted from artifacts produced by the experiment harness,
 which a session fixture runs once per worker count (1, 4, 8) with a shared
 master seed; criterion 11 then compares artifact hashes across the three
-runs. Expect roughly ten minutes of wall time for the whole module.
+runs. The whole module takes about three minutes on a 2-CPU machine, nearly
+all of it in that fixture.
 """
 
 import itertools

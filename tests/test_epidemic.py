@@ -462,7 +462,36 @@ class TestAdaptiveEstimate:
             adaptive_estimate(k3(), 1.5, TransmissionParams(p=0.5), 0)
 
 
+def reference_histogram(g, trials, params, master_seed):
+    """Seeds and final sizes by the trial body `outbreak_histogram` had before
+    the reach kernel: one `run_sir` per trial, on the same substreams."""
+    seeds, sizes = [], []
+    for t in range(trials):
+        rng = rng_for(master_seed, "outbreak", t)
+        seed_v = int(rng.integers(g.n))
+        seeds.append(seed_v)
+        sizes.append(run_sir(g, [seed_v], params, rng).final_size)
+    return np.array(seeds), np.array(sizes)
+
+
 class TestOutbreakHistogram:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    @pytest.mark.parametrize("gen", [gen_k_regular, gen_two_block])
+    def test_equals_run_sir_reference(self, gen, p, threads):
+        g = gen(3, 2_000, 14)
+        params = TransmissionParams(p=p)
+        hist = outbreak_histogram(g, 40, params, 21, threads=threads)
+        seeds, sizes = reference_histogram(g, 40, params, 21)
+        assert (hist.seeds == seeds).all()
+        assert (hist.final_sizes == sizes).all()
+
+    @pytest.mark.parametrize("kwargs", [{"delta": -1}, {"delta": 1.0}, {"zeta_ref": 1.5},
+                                        {"zeta_ref": -0.1}])
+    def test_band_parameters_checked(self, kwargs):
+        with pytest.raises(ValueError, match="must lie in"):
+            outbreak_histogram(k3(), 1, TransmissionParams(p=0.5), 0, **kwargs)
+
     def test_no_transmission_mass_at_single_vertex(self):
         g = gen_k_regular(3, 100, 10)
         hist = outbreak_histogram(g, 50, TransmissionParams(p=0.0), 3)

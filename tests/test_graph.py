@@ -14,12 +14,19 @@ from outbreak_local import (
     edge_boundary,
     expansion_exact,
     expansion_heuristic,
+    gen_k_regular,
     load_edge_list,
     masked_spread,
+    reach_size,
     save_edge_list,
     vertex_boundary,
 )
-from outbreak_local.graph import _masked_spread_scalar, _masked_spread_vector, size_window
+from outbreak_local.graph import (
+    _SCALAR_CUTOFF,
+    _masked_spread_scalar,
+    _masked_spread_vector,
+    size_window,
+)
 
 from conftest import apsp_distances, havel_hakimi_graphical, random_gnp_edges
 
@@ -168,6 +175,60 @@ class TestMaskedSpread:
     def test_empty_sources_rejected(self):
         with pytest.raises(GraphError):
             masked_spread(k3(), [], np.ones(3, bool))
+
+
+class TestReachSize:
+    @staticmethod
+    def masks(g, rng):
+        """Masks at p = 0, 0.5, 1 and at a random p."""
+        yield np.zeros(g.m, bool)
+        yield rng.random(g.m) < 0.5
+        yield np.ones(g.m, bool)
+        yield rng.random(g.m) < rng.random()
+
+    @staticmethod
+    def spread_size(g, v, bits):
+        return int(np.count_nonzero(masked_spread(g, [v], bits)[0]))
+
+    def test_equals_masked_spread_on_zoo(self, small_graph_zoo):
+        rng = np.random.default_rng(17)
+        for g in small_graph_zoo:
+            for bits in self.masks(g, rng):
+                for v in range(g.n):
+                    assert reach_size(g, v, bits) == self.spread_size(g, v, bits)
+
+    def test_equals_masked_spread_above_scalar_cutoff(self):
+        g = gen_k_regular(3, 2000, 5)
+        assert g.n > _SCALAR_CUTOFF
+        rng = np.random.default_rng(19)
+        for bits in self.masks(g, rng):
+            for v in rng.choice(g.n, size=100, replace=False).tolist():
+                assert reach_size(g, v, bits) == self.spread_size(g, v, bits)
+
+    def test_no_edges(self):
+        g = build_graph([], 5)
+        assert [reach_size(g, v, np.zeros(0, bool)) for v in range(5)] == [1] * 5
+
+    def test_isolated_seed(self):
+        g = build_graph([(0, 1), (1, 2), (2, 3)], 5)
+        bits = np.ones(3, bool)
+        assert reach_size(g, 4, bits) == 1
+        assert reach_size(g, 0, bits) == 4
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_vertex_out_of_range(self, v):
+        with pytest.raises(GraphError, match="out of range"):
+            reach_size(k3(), v, np.ones(3, bool))
+
+    def test_mask_length_checked(self):
+        with pytest.raises(GraphError, match="mask length"):
+            reach_size(k3(), 0, np.ones(2, bool))
+
+    def test_arc_count_beyond_int32_rejected(self):
+        g = k3()
+        g.m = 2**30  # 2m arcs no longer fit an int32 index
+        with pytest.raises(GraphError, match="int32"):
+            reach_size(g, 0, np.ones(3, bool))
 
 
 class TestBoundaries:

@@ -105,12 +105,32 @@ class TestConfigValidation:
         ({"type": "giant", "p": 0.5, "trials": None}, "trials"),
         ({"type": "bridges", "p": 0.5, "k": 2, "trials": 2, "vertex": "v0"}, "vertex"),
         ({"type": "expansion", "eps": [0.3]}, "eps"),
+        ({"type": "histogram", "p": 0.5, "trials": 2, "zeta_ref": "x"}, "zeta_ref"),
+        ({"type": "histogram", "p": 0.5, "trials": 2, "delta": "x"}, "delta"),
     ])
     def test_non_numeric_field(self, task, field):
         data = small_config()
         data["tasks"].append(task)
         with pytest.raises(ConfigError, match=f"task 7: {field} must be"):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"delta": -1}, "delta must lie in"),
+        ({"delta": 0}, "delta must lie in"),
+        ({"delta": 1}, "delta must lie in"),
+        ({"zeta_ref": 1.5}, "zeta_ref must lie in"),
+        ({"zeta_ref": -0.5}, "zeta_ref must lie in"),
+    ])
+    def test_histogram_band_out_of_range(self, fields, message):
+        data = small_config()
+        data["tasks"].append({"type": "histogram", "p": 0.5, "trials": 2, **fields})
+        with pytest.raises(ConfigError, match=f"task 7: {message}"):
+            ExperimentConfig.from_dict(data)
+
+    def test_null_zeta_ref_means_none(self):
+        data = small_config()
+        data["tasks"].append({"type": "histogram", "p": 0.5, "trials": 2, "zeta_ref": None})
+        assert ExperimentConfig.from_dict(data).tasks[7]["zeta_ref"] is None
 
     def test_non_numeric_master_seed(self):
         with pytest.raises(ConfigError, match="master_seed must be an integer"):
@@ -323,6 +343,14 @@ class TestCli:
                         "--out", str(tmp_path)) == 0
         meta = json.loads(next(tmp_path.glob("motif_overlay_*.json")).read_text())
         assert meta["n"] == 60
+
+    def test_outbreak_negative_delta_rejected(self, tmp_path, capsys):
+        graph = tmp_path / "p3.edges"
+        graph.write_text("0 1\n1 2\n")
+        assert self.run("outbreak", "--graph", str(graph), "--p", "0.5", "--trials", "3",
+                        "--delta", "-1", "--out", str(tmp_path)) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid_config"
+        assert not (tmp_path / "outbreak.csv").exists()
 
     def test_lambda_flag(self, tmp_path):
         graph = tmp_path / "k3.edges"
