@@ -5,12 +5,10 @@ __version__ = "0.1.0"
 
 from .graph import (
     ComponentStats,
-    DegreeSequence,
     ExpansionCapError,
     ExpansionReport,
     Graph,
     GraphError,
-    bfs_ball,
     bfs_distances,
     build_graph,
     check_graphical,
@@ -44,14 +42,12 @@ from .percolation import (
     SurvivalCurve,
     degree_law_from_dict,
     giant_fraction,
-    mask_from_uniforms,
     percolate,
     percolation_uniforms,
     pivotal_bridge_report,
     survival_curve_analytic,
     survival_curve_empirical,
     survival_fixed_point_cm,
-    truncated_power_law,
 )
 from .epidemic import (
     EstimatorReport,
@@ -63,7 +59,6 @@ from .epidemic import (
     estimate_degree_biased,
     lambda_to_p,
     local_query,
-    local_query_with_mask,
     outbreak_histogram,
     run_sir,
     run_sir_with_mask,

@@ -16,17 +16,16 @@ ball-overlap diagnostic is computed once per estimate, not per query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
 from .graph import (
     Graph,
+    GraphError,
     _arc_index,
     _gather_neighbors,
-    bfs_distances,
-    mask_bits,
     masked_spread,
     reach_size,
 )
@@ -67,7 +66,6 @@ class OutbreakRecord:
     seeds: np.ndarray
     final_size: int
     relative_size: float
-    reached_k: bool | None = None
     generations: tuple = ()  # BFS layers; layer 0 is the seed set
 
     def __post_init__(self):
@@ -79,9 +77,8 @@ def run_sir_with_mask(g: Graph, seeds, mask) -> OutbreakRecord:
     """Deterministic SIR given transmission indicators: spread from the seeds
     over open edges; the infected set is exactly the union of the seeds'
     components in the masked graph."""
-    bits = mask_bits(g, mask)
     seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
-    visited, layers = masked_spread(g, seeds, bits)
+    visited, layers = masked_spread(g, seeds, mask)
     size = int(np.count_nonzero(visited))
     return OutbreakRecord(
         seeds=seeds,
@@ -141,24 +138,10 @@ def local_query(
     query without leaving B_k(v); its cost does not depend on n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} out of range [0, {g.n})")
     threshold = k if count_seed else k + 1
     return 1 if _spread_until(g, v, params.p, rng, threshold) >= threshold else 0
-
-
-def local_query_with_mask(g: Graph, v: int, k: int, mask, count_seed: bool = True) -> int:
-    """local_query against a fixed full-graph mask (shared-tape form): the
-    induced mask on B_k(v) is the restriction of `mask` to internal edges."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    bits = mask_bits(g, mask)
-    dist = bfs_distances(g, [v], limit=k)
-    in_ball = dist >= 0
-    # restrict to edges with both endpoints in the ball
-    restricted = bits & in_ball[g.edges[:, 0]] & in_ball[g.edges[:, 1]]
-    visited, _ = masked_spread(g, [v], restricted)
-    infected = int(np.count_nonzero(visited & in_ball))
-    threshold = k if count_seed else k + 1
-    return 1 if infected >= threshold else 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +323,6 @@ def _run_estimate(
     threads: int,
     count_seed: bool,
     degree_biased: bool,
-    label: str,
 ) -> EstimatorReport:
     if k < 1 or q < 1:
         raise ValueError(f"need k >= 1 and q >= 1, got k={k}, q={q}")
@@ -351,7 +333,7 @@ def _run_estimate(
     threshold = k if count_seed else k + 1
 
     def one(i: int):
-        rng = rng_for(master_seed, label, i)
+        rng = rng_for(master_seed, "query", i)
         v, proposals = _draw_query_vertex(g, rng, degree_biased, degrees, dmax)
         return v, _spread_until(g, v, params.p, rng, threshold) >= threshold, proposals
 
@@ -386,7 +368,7 @@ def estimate(
     query vertices after the queries; overlapping pairs are measured, not
     rejected."""
     return _run_estimate(g, k, q, params, master_seed, threads, count_seed,
-                         degree_biased=False, label="query")
+                         degree_biased=False)
 
 
 def estimate_degree_biased(
@@ -401,7 +383,7 @@ def estimate_degree_biased(
     """estimate() with seeds drawn proportional to degree via rejection
     sampling against the maximum degree; reports the acceptance rate."""
     return _run_estimate(g, k, q, params, master_seed, threads, count_seed,
-                         degree_biased=True, label="query")
+                         degree_biased=True)
 
 
 def adaptive_estimate(
@@ -431,7 +413,7 @@ def adaptive_estimate(
     while True:
         report = _run_estimate(g, k, q, params,
                                substream_seed(master_seed, "adaptive", stage),
-                               threads, count_seed, degree_biased=False, label="query")
+                               threads, count_seed, degree_biased=False)
         schedule.append((k, q, report.n_tilde))
         if prev is not None and abs(report.n_tilde - prev) < eps / 2:
             break
@@ -441,12 +423,8 @@ def adaptive_estimate(
         if k > g.n:  # no component can reach k; return best effort, flagged
             truncated = True
             break
-    return EstimatorReport(
-        k=report.k, q=report.q, n_tilde=report.n_tilde, halfwidth=report.halfwidth,
-        master_seed=master_seed, overlap_fraction=report.overlap_fraction,
-        count_seed=count_seed, seeding="uniform", acceptance_rate=None,
-        schedule=tuple(schedule), truncated=truncated,
-    )
+    return replace(report, master_seed=master_seed, schedule=tuple(schedule),
+                   truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def gen_cm_simple(degrees, seed: int, max_retries: int = 1000) -> Graph:
     matching; the output then carries meta["erased"] = True and degrees may
     be off.
     """
-    degrees = np.asarray(getattr(degrees, "degrees", degrees), dtype=np.int64).reshape(-1)
+    degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
     if not check_graphical(degrees):
         raise GeneratorError(f"degree sequence is not graphical: {degrees[:10]}...")
     n = degrees.size

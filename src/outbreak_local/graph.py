@@ -5,10 +5,12 @@ Vertices are dense integers 0..n-1. The canonical edge list is sorted
 lexicographically with u < v; the position of an edge in that list is its
 edge id, which fixes mask bit positions everywhere in the package.
 
-Traversal has two routes. The layered numpy BFS (`bfs_distances`,
-`masked_spread`) gives hop distances and SIR generations. The C reach
-kernel (`reach_size`) gives only |C(v)| under an edge mask, through scipy's
-breadth-first search on the masked CSR.
+Traversal has two routes. One layered numpy frontier loop (`_bfs_layers`)
+gives hop distances (`bfs_distances`) and SIR generations (`masked_spread`,
+which runs a plain Python loop instead on graphs too small for numpy to
+pay). The C reach kernel (`reach_size`) gives only |C(v)| under an edge
+mask, through scipy's breadth-first search on the masked CSR. The local
+query's lazy-draw spread lives in `epidemic`.
 """
 
 from __future__ import annotations
@@ -167,12 +169,6 @@ def _gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
     return g.neighbors[_arc_index(g, frontier)]
 
 
-def _gather_arcs(g: Graph, frontier: np.ndarray):
-    """CSR arcs out of the frontier: (neighbor, edge id) with repetition."""
-    idx = _arc_index(g, frontier)
-    return g.neighbors[idx], g.arc_edge_ids[idx]
-
-
 def _dedup_unvisited(g: Graph, cand: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Unique candidate vertices; `cand` must already exclude visited ones.
 
@@ -186,41 +182,40 @@ def _dedup_unvisited(g: Graph, cand: np.ndarray, scratch: np.ndarray) -> np.ndar
     return np.flatnonzero(scratch)
 
 
+def _bfs_layers(g: Graph, frontier: np.ndarray, bits: np.ndarray | None = None,
+                limit: int | None = None):
+    """Layered BFS from `frontier` (sorted distinct int64 vertices), over the
+    open edges of `bits` (every edge when None), for at most `limit` hops.
+
+    Returns (visited, layers): the reached-vertex mask and the nonempty BFS
+    layers, layer 0 being `frontier`.
+    """
+    visited = np.zeros(g.n, dtype=bool)
+    visited[frontier] = True
+    layers = []
+    scratch = np.empty(g.n, dtype=bool)
+    while frontier.size:
+        layers.append(frontier)
+        if limit is not None and len(layers) > limit:
+            break
+        idx = _arc_index(g, frontier)
+        if bits is not None:
+            idx = idx[bits[g.arc_edge_ids[idx]]]
+        nbrs = g.neighbors[idx]
+        frontier = _dedup_unvisited(g, nbrs[~visited[nbrs]], scratch).astype(np.int64, copy=False)
+        visited[frontier] = True
+    return visited, layers
+
+
 def bfs_distances(g: Graph, sources, limit: int | None = None) -> np.ndarray:
     """Hop distances from a source set; -1 where unreached within `limit`."""
-    dist = np.full(g.n, -1, dtype=np.int32)
     frontier = np.unique(np.asarray(sources, dtype=np.int64))
     if frontier.size and ((frontier < 0).any() or (frontier >= g.n).any()):
         raise GraphError(f"source vertex out of range [0, {g.n})")
-    dist[frontier] = 0
-    d = 0
-    unvisited = np.ones(g.n, dtype=bool)
-    unvisited[frontier] = False
-    scratch = np.empty(g.n, dtype=bool)
-    while frontier.size and (limit is None or d < limit):
-        nbrs = _gather_neighbors(g, frontier)
-        nbrs = nbrs[unvisited[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = _dedup_unvisited(g, nbrs, scratch)
-        unvisited[frontier] = False
-        d += 1
-        dist[frontier] = d
+    dist = np.full(g.n, -1, dtype=np.int32)
+    for d, layer in enumerate(_bfs_layers(g, frontier, limit=limit)[1]):
+        dist[layer] = d
     return dist
-
-
-def bfs_ball(g: Graph, v: int, k: int):
-    """Vertices at distance <= k from v, with their distances.
-
-    Returns (vertices, distances), aligned arrays sorted by vertex id.
-    """
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range [0, {g.n})")
-    if k < 0:
-        raise ValueError(f"radius must be >= 0, got {k}")
-    dist = bfs_distances(g, [v], limit=k)
-    verts = np.flatnonzero(dist >= 0)
-    return verts, dist[verts]
 
 
 _SCALAR_CUTOFF = 256  # below this, python BFS beats numpy call overhead
@@ -232,7 +227,7 @@ def _masked_spread_scalar(g: Graph, sources: np.ndarray, bits: np.ndarray):
     eids = g.arc_edge_ids
     visited = np.zeros(g.n, dtype=bool)
     layers = []
-    frontier = [int(v) for v in sources]
+    frontier = list(set(sources.tolist()))
     for v in frontier:
         visited[v] = True
     while frontier:
@@ -248,36 +243,23 @@ def _masked_spread_scalar(g: Graph, sources: np.ndarray, bits: np.ndarray):
     return visited, layers
 
 
-def _masked_spread_vector(g: Graph, sources: np.ndarray, bits: np.ndarray):
-    visited = np.zeros(g.n, dtype=bool)
-    frontier = np.unique(sources)
-    visited[frontier] = True
-    layers = []
-    scratch = np.empty(g.n, dtype=bool)
-    while frontier.size:
-        layers.append(frontier.astype(np.int64))
-        nbrs, arcs = _gather_arcs(g, frontier)
-        keep = bits[arcs] & ~visited[nbrs]
-        frontier = _dedup_unvisited(g, nbrs[keep], scratch)
-        visited[frontier] = True
-    return visited, layers
-
-
 def masked_spread(g: Graph, sources, bits: np.ndarray):
     """Breadth-first reach from `sources` using only open edges.
 
     Returns (visited, layers): the reached-vertex mask and the BFS layers in
-    discovery order (layer 0 is the source set). This is the traversal route
-    used by the SIR engine, independent of components().
+    discovery order (layer 0 is the set of distinct sources). This is the
+    traversal route used by the SIR engine, independent of components(). A
+    mask whose length is not m raises GraphError.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     if sources.size == 0:
         raise GraphError("source set must be nonempty")
     if (sources < 0).any() or (sources >= g.n).any():
         raise GraphError(f"source vertex out of range [0, {g.n})")
+    bits = mask_bits(g, bits)
     if g.n < _SCALAR_CUTOFF:
         return _masked_spread_scalar(g, sources, bits)
-    return _masked_spread_vector(g, sources, bits)
+    return _bfs_layers(g, np.unique(sources), bits)
 
 
 def reach_size(g: Graph, v: int, bits: np.ndarray) -> int:
@@ -399,7 +381,7 @@ def vertex_boundary(g: Graph, vertex_set) -> int:
 
 def check_graphical(degrees) -> bool:
     """Erdos-Gallai test: is there a simple graph with this degree sequence?"""
-    d = np.asarray(getattr(degrees, "degrees", degrees), dtype=np.int64).reshape(-1)
+    d = np.asarray(degrees, dtype=np.int64).reshape(-1)
     if d.size == 0:
         return True
     if (d < 0).any():
@@ -420,29 +402,6 @@ def check_graphical(degrees) -> bool:
     cnt_big = n - ks - cnt_small
     rhs = ks * (ks - 1) + sum_small + cnt_big * ks
     return bool(np.all(prefix <= rhs))
-
-
-@dataclass(frozen=True)
-class DegreeSequence:
-    """A prescribed degree sequence d_1..d_n."""
-
-    degrees: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.degrees, dtype=np.int64).reshape(-1)
-        if d.size and (d < 0).any():
-            raise ValueError("degrees must be nonnegative")
-        object.__setattr__(self, "degrees", d)
-
-    @property
-    def n(self) -> int:
-        return int(self.degrees.size)
-
-    def total(self) -> int:
-        return int(self.degrees.sum())
-
-    def is_graphical(self) -> bool:
-        return check_graphical(self.degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,6 @@ def percolate(g: Graph, p: float, seed: int, trial_index: int = 0) -> EdgeMask:
     return EdgeMask(percolation_uniforms(g, seed, trial_index) < p, float(p), seed, trial_index)
 
 
-def mask_from_uniforms(uniforms: np.ndarray, p: float, seed: int, trial_index: int = 0) -> EdgeMask:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return EdgeMask(uniforms < p, float(p), seed, trial_index)
-
-
 # ---------------------------------------------------------------------------
 # giant component statistics
 
@@ -129,24 +123,6 @@ def _validate_degree_law(probs) -> np.ndarray:
     if not np.isclose(total, 1.0, atol=1e-9):
         raise ValueError(f"degree law mass {total} != 1")
     return probs / total
-
-
-def truncated_power_law(tau: float, kmin: int = 3, kmax: int = 10**5):
-    """Degree law proportional to k^-tau on [kmin, kmax].
-
-    Returns (probs, tail_mass) where tail_mass is the discarded mass beyond
-    kmax relative to the untruncated series, reported so truncation error is
-    explicit.
-    """
-    if kmin < 1 or kmax < kmin:
-        raise ValueError("need 1 <= kmin <= kmax")
-    ks = np.arange(kmin, kmax + 1, dtype=np.float64)
-    w = ks**-tau
-    # tail estimate by integral comparison: sum_{k>kmax} k^-tau <= kmax^(1-tau)/(tau-1)
-    tail = kmax ** (1.0 - tau) / (tau - 1.0) if tau > 1 else np.inf
-    probs = np.zeros(kmax + 1)
-    probs[kmin:] = w / w.sum()
-    return probs, float(tail / (w.sum() + tail))
 
 
 def _pgf(probs: np.ndarray, x: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from outbreak_local import (
+    GraphError,
     TransmissionParams,
     adaptive_estimate,
     build_graph,
@@ -19,7 +20,6 @@ from outbreak_local import (
     gen_two_block,
     lambda_to_p,
     local_query,
-    local_query_with_mask,
     outbreak_histogram,
     rng_for,
     run_sir,
@@ -141,26 +141,20 @@ class TestLocalQuery:
         assert local_query(g, 0, 2, params, np.random.default_rng(0), count_seed=True) == 1
         assert local_query(g, 0, 2, params, np.random.default_rng(0), count_seed=False) == 0
 
-    def test_query_equals_component_threshold(self, small_graph_zoo):
-        # under a shared mask, the ball-restricted run succeeds iff the
-        # full-graph component of v has at least k vertices
-        rng = np.random.default_rng(5)
-        for g in small_graph_zoo:
-            for _ in range(10):
-                bits = rng.random(g.m) < rng.random()
-                v = int(rng.integers(g.n))
-                cs = components(g, bits)
-                for k in (1, 2, 3, 5, 8):
-                    got = local_query_with_mask(g, v, k, bits)
-                    assert got == int(cs.size_of(v) >= k)
-
     def test_monotone_in_k_at_fixed_tape(self, small_graph_zoo):
-        rng = np.random.default_rng(7)
-        for g in small_graph_zoo[:10]:
-            bits = rng.random(g.m) < 0.6
+        # the same seed for every k: the lazy draws agree up to the earlier
+        # stop, so a success at k implies one at every smaller k
+        params = TransmissionParams(p=0.6)
+        for i, g in enumerate(small_graph_zoo[:10]):
             for v in range(0, g.n, 3):
-                outs = [local_query_with_mask(g, v, k, bits) for k in (1, 2, 3, 4, 6, 9)]
+                outs = [local_query(g, v, k, params, np.random.default_rng((i, v)))
+                        for k in (1, 2, 3, 4, 6, 9)]
                 assert all(a >= b for a, b in zip(outs, outs[1:]))
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_vertex_out_of_range(self, v):
+        with pytest.raises(GraphError, match=r"out of range \[0, 3\)"):
+            local_query(k3(), v, 2, TransmissionParams(p=0.5), np.random.default_rng(0))
 
 
 class _NeedMore(Exception):

@@ -3,10 +3,8 @@ import pytest
 from fractions import Fraction
 
 from outbreak_local import (
-    DegreeSequence,
     ExpansionCapError,
     GraphError,
-    bfs_ball,
     bfs_distances,
     build_graph,
     check_graphical,
@@ -24,7 +22,7 @@ from outbreak_local import (
 from outbreak_local.graph import (
     _SCALAR_CUTOFF,
     _masked_spread_scalar,
-    _masked_spread_vector,
+    _bfs_layers,
     size_window,
 )
 
@@ -85,17 +83,13 @@ class TestBuildGraph:
 class TestBfs:
     def test_path_radius_one(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
-        verts, dists = bfs_ball(g, 2, 1)
-        assert verts.tolist() == [1, 2, 3]
-        assert dists.tolist() == [1, 0, 1]
+        assert bfs_distances(g, [2], limit=1).tolist() == [-1, 1, 0, 1, -1]
 
     def test_zero_radius(self):
-        verts, dists = bfs_ball(k3(), 1, 0)
-        assert verts.tolist() == [1] and dists.tolist() == [0]
+        assert bfs_distances(k3(), [1], limit=0).tolist() == [-1, 0, -1]
 
     def test_triangle_large_radius(self):
-        verts, _ = bfs_ball(k3(), 0, 5)
-        assert verts.tolist() == [0, 1, 2]
+        assert bfs_distances(k3(), [0], limit=5).tolist() == [0, 1, 1]
 
     def test_against_apsp_oracle(self):
         rng = np.random.default_rng(7)
@@ -104,12 +98,12 @@ class TestBfs:
             g = build_graph(edges, n)
             truth = apsp_distances(edges, n)
             for v in (0, n // 2):
-                for k in (0, 1, 2, n):
-                    verts, dists = bfs_ball(g, v, k)
-                    expected = sorted(u for u in range(n) if truth[v][u] <= k)
-                    assert verts.tolist() == expected
-                    for u, d in zip(verts, dists):
-                        assert truth[v][int(u)] == d
+                for k in (0, 1, 2, n, None):
+                    dist = bfs_distances(g, [v], limit=k)
+                    for u in range(n):
+                        d = truth[v][u]
+                        within = d <= (n if k is None else k)
+                        assert dist[u] == (d if within else -1)
 
     def test_limit_sentinel(self):
         g = build_graph([(0, 1), (1, 2)], 4)
@@ -155,13 +149,28 @@ class TestMaskedSpread:
         rng = np.random.default_rng(11)
         for g in small_graph_zoo:
             bits = rng.random(g.m) < 0.6
-            sources = [int(rng.integers(g.n))]
-            vis_s, layers_s = _masked_spread_scalar(g, np.array(sources), bits)
-            vis_v, layers_v = _masked_spread_vector(g, np.array(sources), bits)
+            sources = np.unique(rng.integers(g.n, size=2))
+            vis_s, layers_s = _masked_spread_scalar(g, sources, bits)
+            vis_v, layers_v = _bfs_layers(g, sources, bits)
             assert (vis_s == vis_v).all()
             assert len(layers_s) == len(layers_v)
             for a, b in zip(layers_s, layers_v):
-                assert sorted(a.tolist()) == sorted(b.tolist())
+                assert a.dtype == b.dtype == np.int64
+                assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_duplicate_sources_once_in_layer_zero(self, n):
+        assert 3 < _SCALAR_CUTOFF < 300  # both routes: Python loop and numpy
+        g = build_graph([(i, (i + 1) % n) for i in range(n)], n)
+        visited, layers = masked_spread(g, [0, 0, 1, 0], np.zeros(g.m, bool))
+        assert layers[0].tolist() == [0, 1]
+        assert len(layers) == 1 and int(visited.sum()) == 2
+
+    @pytest.mark.parametrize("n, extra", [(3, -1), (3, 2), (400, 5)])
+    def test_mask_length_checked(self, n, extra):
+        g = build_graph([(i, (i + 1) % n) for i in range(n)], n)
+        with pytest.raises(GraphError, match="mask length"):
+            masked_spread(g, [0], np.ones(g.m + extra, bool))
 
     def test_spread_is_union_of_components(self, small_graph_zoo):
         rng = np.random.default_rng(13)
@@ -274,12 +283,6 @@ class TestGraphical:
             n = int(rng.integers(1, 9))
             seq = rng.integers(0, n + 2, size=n).tolist()
             assert check_graphical(seq) == havel_hakimi_graphical(seq), seq
-
-    def test_degree_sequence_type(self):
-        ds = DegreeSequence(np.array([2, 2, 2]))
-        assert ds.n == 3 and ds.total() == 6 and ds.is_graphical()
-        with pytest.raises(ValueError):
-            DegreeSequence(np.array([-1, 1]))
 
 
 class TestEdgeListIO:

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import outbreak_local
 from outbreak_local import ConfigError, ExperimentConfig, harness, parallel, run_experiment
 from outbreak_local.cli import main, parse_degrees, parse_p
 from outbreak_local.harness import config_hash, write_csv, write_json
@@ -52,6 +55,43 @@ SMALL_CONFIG_SHA256 = {
         "62ff9e0d9a28bb44a6a2c7f5edb8f9af5ff57d1f53e47ec7195eab0a2dbbc8a3",
     "survival_04.csv":
         "7c668be63ba367e4cd0d8c85989bd0dd4a3103c2ff69c8d3a70c4ec75eb304c1",
+}
+
+# Two estimate configs large enough that the queries stop early and the
+# overlap diagnostic (overlap_fraction about 0.46 on the 3-regular graph)
+# runs several rounds, pinned the same way.
+ESTIMATE_CONFIGS = {
+    "regular": {
+        "gen": {"model": "k_regular", "params": {"d": 3, "n": 20000}, "seed": 3},
+        "master_seed": 11,
+        "tasks": [
+            {"type": "estimate", "p": 0.9, "k": 6, "q": 500},
+            {"type": "estimate", "p": 0.6, "k": 6, "q": 500, "count_seed": False},
+        ],
+    },
+    "pa": {
+        "gen": {"model": "pa", "params": {"m": 2, "n": 20000}, "seed": 3},
+        "master_seed": 11,
+        "tasks": [
+            {"type": "estimate", "p": 0.3, "k": 10, "q": 300, "degree_biased": True},
+        ],
+    },
+}
+ESTIMATE_CONFIG_SHA256 = {
+    "regular": {
+        "estimate_00.json":
+            "5ad83df2f422853b2da1f0572b03eceee5bf47705b4671d6ba102d0ca5f1a790",
+        "estimate_01.json":
+            "facaf8d35bc4bc1e08e8f7fcfc417abad8e0dea7ef8c4711a64d659bf2eff6b2",
+        "manifest.json":
+            "8a41a6c68c3050777add6e7eaba534653253c83f8b767e04f2e7b70eb8b3972b",
+    },
+    "pa": {
+        "estimate_00.json":
+            "f760f3f88e811d7d37edea2098aa017e8fce397252e5607576a5767a132468aa",
+        "manifest.json":
+            "f6f29845de5cb64ffde9f93fae4c6ea067e54fa3a16e6604b746f8375d47ea6b",
+    },
 }
 
 
@@ -168,6 +208,12 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig.from_dict(small_config()), tmp_path, threads=1)
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in tmp_path.iterdir()} == SMALL_CONFIG_SHA256
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATE_CONFIGS))
+    def test_estimate_artifact_bytes_pinned(self, tmp_path, name):
+        run_experiment(ExperimentConfig.from_dict(ESTIMATE_CONFIGS[name]), tmp_path, threads=1)
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in tmp_path.iterdir()} == ESTIMATE_CONFIG_SHA256[name]
 
     def test_failed_build_still_writes_manifest(self, tmp_path):
         data = small_config()
@@ -404,9 +450,12 @@ class TestCli:
 
 class TestInstalledEntryPoint:
     def test_console_script(self, tmp_path):
+        # the child imports the package this suite imported, installed or not
+        src = str(Path(outbreak_local.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "outbreak_local.cli", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "outbreak-local/" in proc.stdout
 

@@ -8,14 +8,12 @@ from outbreak_local import (
     degree_law_from_dict,
     gen_k_regular,
     giant_fraction,
-    mask_from_uniforms,
     percolate,
     percolation_uniforms,
     pivotal_bridge_report,
     survival_curve_analytic,
     survival_curve_empirical,
     survival_fixed_point_cm,
-    truncated_power_law,
 )
 
 D3 = np.array([0.0, 0.0, 0.0, 1.0])  # degree identically 3
@@ -52,9 +50,9 @@ class TestPercolate:
         g = gen_k_regular(3, 200, 1)
         for t in range(20):
             u = percolation_uniforms(g, 9, t)
-            lo = mask_from_uniforms(u, 0.3, 9, t)
-            hi = mask_from_uniforms(u, 0.7, 9, t)
-            assert not (lo.bits & ~hi.bits).any()
+            lo, hi = u < 0.3, u < 0.7
+            assert (lo == percolate(g, 0.3, 9, t).bits).all()
+            assert not (lo & ~hi).any()
             assert components(g, lo).sizes[0] <= components(g, hi).sizes[0]
 
     def test_invalid_p(self):
@@ -90,9 +88,9 @@ class TestFixedPoint:
         assert zs[0] == 0.0 and abs(zs[-1] - 1.0) < 1e-9
 
     def test_truncated_power_law(self):
-        probs, tail = truncated_power_law(2.5, kmin=3, kmax=500)
-        assert abs(probs.sum() - 1.0) < 1e-12
-        assert 0 < tail < 0.05
+        probs = np.zeros(501)
+        probs[3:] = np.arange(3, 501, dtype=np.float64) ** -2.5
+        probs /= probs.sum()
         z = survival_fixed_point_cm(probs, 0.2)
         assert 0 < z < 1
 
