@@ -15,6 +15,7 @@ query's lazy-draw spread lives in `epidemic`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -449,14 +450,6 @@ def _popcount32(x: np.ndarray) -> np.ndarray:
     return (x * np.uint32(0x01010101)) >> np.uint32(24)
 
 
-def _boundary_cost(g: Graph, in_a: np.ndarray, mode: str) -> int:
-    if mode == "edge":
-        return edge_boundary(g, in_a)
-    if mode == "vertex":
-        return vertex_boundary(g, in_a)
-    raise ValueError(f"mode must be 'edge' or 'vertex', got {mode!r}")
-
-
 def expansion_exact(g: Graph, eps: float, mode: str = "edge", cap: int = 20) -> ExpansionReport:
     """Exact minimum by enumerating all 2^n subsets; refuses n above `cap`."""
     if mode not in ("edge", "vertex"):
@@ -493,10 +486,18 @@ def expansion_exact(g: Graph, eps: float, mode: str = "edge", cap: int = 20) -> 
 
 
 def _fiedler_order(g: Graph, seed: int) -> np.ndarray:
-    """Vertices sorted by the Fiedler vector; degree order on failure."""
+    """Vertices sorted by the Fiedler vector; degree order on failure.
+
+    On a disconnected graph the eigenvalue 0 is degenerate and ARPACK would
+    return an arbitrary mix of its eigenvectors, so the vertices are stably
+    ordered by component label instead.
+    """
     fallback = np.lexsort((np.arange(g.n), g.degrees()))
     if g.n < 3 or g.m == 0:
         return fallback
+    comp = components(g, np.ones(g.m, dtype=bool))
+    if comp.sizes.size > 1:
+        return np.argsort(comp.labels, kind="stable")
     try:
         lap = csgraph.laplacian(
             sparse.csr_matrix(
@@ -514,41 +515,49 @@ def _fiedler_order(g: Graph, seed: int) -> np.ndarray:
         return fallback
 
 
+class _Cut:
+    """A vertex set whose boundary stays current under one-vertex flips.
+
+    Both boundaries sum over the vertices u outside the set: the edge
+    boundary counts cnt[u], u's neighbours in the set, and the vertex
+    boundary counts min(cnt[u], 1). `cap` is that clip (n for edges, which
+    no count reaches), so one flip in O(degree) serves both modes.
+    """
+
+    def __init__(self, g: Graph, members, mode: str):
+        in_a = member_mask(g, members)
+        self.g = g
+        self.in_a = in_a.tolist()
+        self.cnt = np.bincount(g.neighbors[in_a[g.arc_src]], minlength=g.n).tolist()
+        self.size = int(np.count_nonzero(in_a))
+        self.cap = g.n if mode == "edge" else 1
+        self.cost = (edge_boundary if mode == "edge" else vertex_boundary)(g, in_a)
+
+    def flip(self, v: int) -> None:
+        """Move v into the set, or out of it when it is in."""
+        in_a, cnt, cap = self.in_a, self.cnt, self.cap
+        s = -1 if in_a[v] else 1
+        in_a[v] = s > 0
+        self.size += s
+        cost = self.cost - s * min(cnt[v], cap)
+        for u in self.g.neighbors_of(v).tolist():
+            c = cnt[u]
+            cnt[u] = c + s
+            if not in_a[u]:
+                cost += min(c + s, cap) - min(c, cap)
+        self.cost = cost
+
+
 def _sweep_best(g: Graph, order: np.ndarray, lo: int, hi: int, mode: str):
-    """Best prefix of `order` with size in [lo, hi]; incremental boundary."""
-    in_a = np.zeros(g.n, dtype=bool)
+    """Best prefix of `order` with size in [lo, hi], one flip per vertex."""
+    cut = _Cut(g, [], mode)
     best = None  # (cost, size)
-    if mode == "edge":
-        cur = 0
-        for i, v in enumerate(order.tolist()):
-            inside = int(np.count_nonzero(in_a[g.neighbors_of(v)]))
-            cur += g.degree(v) - 2 * inside
-            in_a[v] = True
-            size = i + 1
-            if size > hi:
-                break
-            if size >= lo and (best is None or cur * best[1] < best[0] * size):
-                best = (cur, size, i + 1)
-    else:
-        cnt = np.zeros(g.n, dtype=np.int64)  # neighbors-in-A per vertex
-        cur = 0
-        for i, v in enumerate(order.tolist()):
-            if cnt[v] > 0:
-                cur -= 1  # v leaves the outside boundary
-            for u in g.neighbors_of(v).tolist():
-                if not in_a[u] and cnt[u] == 0:
-                    cur += 1
-                cnt[u] += 1
-            in_a[v] = True
-            size = i + 1
-            if size > hi:
-                break
-            if size >= lo and (best is None or cur * best[1] < best[0] * size):
-                best = (cur, size, i + 1)
-    if best is None:
-        return None
-    cost, size, klen = best
-    return cost, size, np.sort(order[:klen]).astype(np.int64)
+    for v in order[:hi].tolist():
+        cut.flip(v)
+        if cut.size >= lo and (best is None or cut.cost * best[1] < best[0] * cut.size):
+            best = (cut.cost, cut.size)
+    cost, size = best
+    return cost, size, np.sort(order[:size]).astype(np.int64)
 
 
 def expansion_heuristic(
@@ -573,54 +582,52 @@ def expansion_heuristic(
 
     best_cost, best_size, best_set = None, None, None
 
-    def consider(cost: int, size: int, members: np.ndarray):
+    def consider(cost: int, size: int, members):
         nonlocal best_cost, best_size, best_set
         if best_cost is None or cost * best_size < best_cost * size:
             best_cost, best_size, best_set = cost, size, np.sort(members).astype(np.int64)
 
     order = _fiedler_order(g, seed)
     for o in (order, order[::-1]):
-        hit = _sweep_best(g, o, lo, hi, mode)
-        if hit is not None:
-            consider(*hit)
+        consider(*_sweep_best(g, o, lo, hi, mode))
 
-    # randomized local moves within the size window, with restarts
-    spent = 0
-    cur = best_set.copy() if best_set is not None else np.sort(order[:lo]).astype(np.int64)
-    stale = 0
+    # randomized local moves within the size window, with restarts: a move
+    # flips its vertices in the cut and flips them back when rejected
+    spent = stale = 0
+    cur = best_set.tolist()  # kept sorted: a drop picks cur[i] by a drawn index
+    cut = _Cut(g, cur, mode)
     while spent < budget:
         move = rng.integers(3)
-        cand = None
-        cur_set = set(cur.tolist())
-        if move == 0 and len(cur) < hi:
-            v = int(rng.integers(g.n))
-            if v not in cur_set:
-                cand = np.append(cur, v)
-        elif move == 1 and len(cur) > lo:
-            i = int(rng.integers(len(cur)))
-            cand = np.delete(cur, i)
+        if move == 0 and cut.size < hi:
+            add, drop = int(rng.integers(g.n)), None
+        elif move == 1 and cut.size > lo:
+            add, drop = None, cur[int(rng.integers(cut.size))]
         else:
-            v = int(rng.integers(g.n))
-            i = int(rng.integers(len(cur)))
-            if v not in cur_set:
-                cand = cur.copy()
-                cand[i] = v
-        if cand is None:
+            add, drop = int(rng.integers(g.n)), cur[int(rng.integers(cut.size))]
+        if add is not None and cut.in_a[add]:
             continue
         spent += 1
-        cost = _boundary_cost(g, cand, mode)
-        size = len(cand)
-        cur_cost = _boundary_cost(g, cur, mode)
-        if cost * len(cur) < cur_cost * size or (cost * len(cur) == cur_cost * size and size > len(cur)):
-            cur = np.sort(cand)
-            consider(cost, size, cand)
+        flips = [v for v in (add, drop) if v is not None]
+        cost0, size0 = cut.cost, cut.size
+        for v in flips:
+            cut.flip(v)
+        # accept a lower cost/size ratio, or an equal one on a larger set
+        if (cut.cost * size0, -cut.size) < (cost0 * cut.size, -size0):
+            if drop is not None:
+                del cur[bisect.bisect_left(cur, drop)]
+            if add is not None:
+                bisect.insort(cur, add)
+            consider(cut.cost, cut.size, cur)
             stale = 0
         else:
+            for v in flips:
+                cut.flip(v)
             stale += 1
             if stale > 8 * g.n:
                 size = int(rng.integers(lo, hi + 1))
-                cur = np.sort(rng.choice(g.n, size=size, replace=False)).astype(np.int64)
-                consider(_boundary_cost(g, cur, mode), size, cur)
+                cur = np.sort(rng.choice(g.n, size=size, replace=False)).tolist()
+                cut = _Cut(g, cur, mode)
+                consider(cut.cost, size, cur)
                 spent += 1
                 stale = 0
 

@@ -58,7 +58,10 @@ def _require(cond: bool, message: str):
 # numeric task fields and their types; validate_task checks each one given
 # (a null zeta_ref means no reference, as when it is left out)
 _NUMERIC_FIELDS = {"p": float, "lambda": float, "k": int, "q": int, "trials": int,
-                   "vertex": int, "eps": float, "delta": float, "zeta_ref": float}
+                   "vertex": int, "eps": float, "delta": float, "zeta_ref": float,
+                   "budget": int, "cap": int}
+# switch fields; JSON booleans only, since a string such as "false" is truthy
+_FLAG_FIELDS = ("count_seed", "degree_biased", "exact")
 
 
 def _number(value, kind, what: str):
@@ -88,6 +91,10 @@ def validate_task(task: dict, i: int) -> None:
     for key, kind in _NUMERIC_FIELDS.items():
         if key in task and not (key == "zeta_ref" and task[key] is None):
             _number(task[key], kind, f"task {i}: {key}")
+    for key in _FLAG_FIELDS:
+        if key in task:
+            _require(isinstance(task[key], bool),
+                     f"task {i}: {key} must be true or false, got {task[key]!r}")
     if ttype in ("histogram", "giant", "bridges", "estimate"):
         p = _task_p(task)
         _require(0.0 <= p <= 1.0, f"task {i}: p={p} outside [0, 1]")

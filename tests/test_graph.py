@@ -21,6 +21,7 @@ from outbreak_local import (
 )
 from outbreak_local.graph import (
     _SCALAR_CUTOFF,
+    _Cut,
     _masked_spread_scalar,
     _bfs_layers,
     size_window,
@@ -386,3 +387,28 @@ class TestExpansionHeuristic:
         rep = expansion_heuristic(g, 0.3, "edge", budget=500, seed=4)
         assert rep.value_fraction == Fraction(1, 20)
         assert sorted(rep.witness_set.tolist()) in ([*range(20)], [*range(20, 40)])
+
+    def test_disconnected_witness_is_deterministic(self):
+        # 100 disjoint triangles: the Laplacian's eigenvalue 0 has a
+        # 100-dimensional eigenspace, so an eigensolver's vector would depend
+        # on its internal state; the order by component does not
+        g = build_graph([(3 * i + a, 3 * i + b) for i in range(100)
+                         for a, b in ((0, 1), (1, 2), (0, 2))], 300)
+        reps = [expansion_heuristic(g, 0.2, "edge", budget=0, seed=2) for _ in range(8)]
+        assert len({tuple(r.witness_set.tolist()) for r in reps}) == 1
+        assert reps[0].value == 0  # whole triangles
+
+
+class TestCut:
+    def test_flips_match_full_boundary(self, small_graph_zoo):
+        rng = np.random.default_rng(8)
+        for g in small_graph_zoo:
+            for mode, full in (("edge", edge_boundary), ("vertex", vertex_boundary)):
+                for in_a in (np.zeros(g.n, dtype=bool), rng.random(g.n) < 0.5):
+                    cut = _Cut(g, np.flatnonzero(in_a), mode)
+                    assert (cut.cost, cut.size) == (full(g, in_a), in_a.sum())
+                    for v in rng.integers(g.n, size=4 * g.n).tolist():
+                        cut.flip(v)
+                        in_a[v] = not in_a[v]
+                        assert cut.in_a == in_a.tolist()
+                        assert (cut.cost, cut.size) == (full(g, in_a), in_a.sum()), (g, mode)

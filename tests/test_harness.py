@@ -94,6 +94,47 @@ ESTIMATE_CONFIG_SHA256 = {
     },
 }
 
+# Expansion heuristic runs in both modes, pinned the same way: a connected
+# 3-regular graph at the default budget, and a connected 12-vertex one whose
+# runs restart from a random set (stale > 8n) 8 times in all; without the
+# restarts both values are worse (1 and 2/3 instead of 2/3 and 1/2).
+EXPANSION_CONFIGS = {
+    "regular": {
+        "gen": {"model": "k_regular", "params": {"d": 3, "n": 3000}, "seed": 5},
+        "master_seed": 13,
+        "tasks": [
+            {"type": "expansion", "eps": 0.25, "mode": "edge", "budget": 2000},
+            {"type": "expansion", "eps": 0.25, "mode": "vertex", "budget": 2000},
+        ],
+    },
+    "tiny": {
+        "gen": {"model": "k_regular", "params": {"d": 3, "n": 12}, "seed": 1},
+        "master_seed": 13,
+        "tasks": [
+            {"type": "expansion", "eps": 0.3, "mode": "edge", "budget": 600},
+            {"type": "expansion", "eps": 0.3, "mode": "vertex", "budget": 600},
+        ],
+    },
+}
+EXPANSION_CONFIG_SHA256 = {
+    "regular": {
+        "expansion_00.json":
+            "7018e0eee538439c7d23d61c072c73e544802c1d75bde09754a86c94a34261fa",
+        "expansion_01.json":
+            "56afd0dc8737690aaf9efbffb16a51eb4385c7cabd150813004d45e73630b227",
+        "manifest.json":
+            "a82e2044856c11d1b107fb749388a57286678b28547e9dbd81c6c224e49de9a0",
+    },
+    "tiny": {
+        "expansion_00.json":
+            "a883d0a659b9fc9fb5bad44ceca4fb47ef6ba9e9d03763f7c37ad20a0177aac3",
+        "expansion_01.json":
+            "ed77b69a08d450bd69aa2f6303c04da3cf1b7c297ebd40808b8860d7081bcaca",
+        "manifest.json":
+            "90048995732199f927d018010ca5f18ae7d57a6ca28dad728c838b9a67f5ca93",
+    },
+}
+
 
 def manifest_hashes(manifest):
     return [(t["type"], t["status"], [f["sha256"] for f in t["files"]])
@@ -147,11 +188,24 @@ class TestConfigValidation:
         ({"type": "expansion", "eps": [0.3]}, "eps"),
         ({"type": "histogram", "p": 0.5, "trials": 2, "zeta_ref": "x"}, "zeta_ref"),
         ({"type": "histogram", "p": 0.5, "trials": 2, "delta": "x"}, "delta"),
+        ({"type": "expansion", "eps": 0.3, "budget": "lots"}, "budget"),
+        ({"type": "expansion", "eps": 0.3, "exact": True, "cap": "20x"}, "cap"),
     ])
     def test_non_numeric_field(self, task, field):
         data = small_config()
         data["tasks"].append(task)
         with pytest.raises(ConfigError, match=f"task 7: {field} must be"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("task, field", [
+        ({"type": "estimate", "p": 0.5, "k": 3, "q": 3, "count_seed": "false"}, "count_seed"),
+        ({"type": "estimate", "p": 0.5, "k": 3, "q": 3, "degree_biased": "no"}, "degree_biased"),
+        ({"type": "expansion", "eps": 0.3, "exact": "false"}, "exact"),
+    ])
+    def test_flag_must_be_boolean(self, task, field):
+        data = small_config()
+        data["tasks"].append(task)
+        with pytest.raises(ConfigError, match=f"task 7: {field} must be true or false"):
             ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("fields, message", [
@@ -214,6 +268,12 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig.from_dict(ESTIMATE_CONFIGS[name]), tmp_path, threads=1)
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in tmp_path.iterdir()} == ESTIMATE_CONFIG_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(EXPANSION_CONFIGS))
+    def test_expansion_artifact_bytes_pinned(self, tmp_path, name):
+        run_experiment(ExperimentConfig.from_dict(EXPANSION_CONFIGS[name]), tmp_path, threads=1)
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in tmp_path.iterdir()} == EXPANSION_CONFIG_SHA256[name]
 
     def test_failed_build_still_writes_manifest(self, tmp_path):
         data = small_config()
